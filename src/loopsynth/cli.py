@@ -106,7 +106,7 @@ def _shared_overrides(args) -> dict:
 def _print_synth(report: RunReport) -> None:
     print(f"problem: {report.name}")
     print(f"sizes: n={report.n} m={report.m} l={report.l} d={report.d}")
-    if report.status == "TL":
+    if report.status == "TL" and report.s is None:
         print(f"status: TL ({report.error})")
         return
     print(f"system: s={report.s} polynomials "
@@ -121,7 +121,8 @@ def _print_synth(report: RunReport) -> None:
     if report.assignment is not None:
         pairs = ", ".join(f"{k} = {v}" for k, v in sorted(report.assignment.items()))
         print(f"solution: {pairs}")
-        print(f"verified: {'yes' if report.verified else 'no'}")
+        verdict = {True: "yes", False: "no"}.get(report.verified, f"unknown ({report.error})")
+        print(f"verified: {verdict}")
 
 
 def _print_check(report: RunReport) -> None:

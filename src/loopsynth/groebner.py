@@ -1,10 +1,21 @@
 """Groebner bases over Q: division, Buchberger's algorithm, membership.
 
 The engine is deliberately plain: normal-strategy pair selection with the
-product and chain criteria, content-normalized intermediate polynomials,
-and a step budget so runaway computations abort with BudgetExceeded
-instead of hanging.  Reduced bases are unique per (ideal, order), so
-identical inputs give identical outputs.
+product and chain criteria, primitive integer generators, and a step
+budget so runaway computations abort with BudgetExceeded instead of
+hanging.  Reduced bases are unique per (ideal, order), so identical inputs
+give identical outputs.
+
+Division runs on integers.  Each divisor is prepared once (per buchberger
+run, lazily per GroebnerBasis) as leading monomial, leading coefficient lc
+and tail, scaled to coprime integers.  The work polynomial is a dict of
+ints over one common scale: a term c*m is cancelled after multiplying the
+work by lc/gcd(c, lc) when that is not 1, and remainder terms are divided
+by the scale as they leave, so the remainder is exact.  Under degrevlex the
+heap key of a monomial e in n variables is one int, sum e_i*(W^i - W^n)
+for W = 2^bitlen(deg f): the negated order key read in base W.  It orders
+like the tuple key while every exponent is below W, which holds as division
+under a degree-compatible order makes no term of degree above deg f.
 
 Radical membership uses the auxiliary-variable trick: f lies in the
 radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  Two
@@ -19,12 +30,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, le, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExceeded
-from .polyring import (DEGREVLEX, ContextMismatchError, Monomial, MonomialOrder,
-                       Polynomial, VarContext, mono_div, mono_divides, mono_lcm,
-                       mono_mul)
+from .polyring import (DEGREVLEX, ContextMismatchError, MonomialOrder, Polynomial,
+                       VarContext)
 
 __all__ = [
     "GroebnerBasis", "s_polynomial", "divide", "normal_form", "buchberger",
@@ -33,17 +45,21 @@ __all__ = [
 ]
 
 
-def _ratio(a, b) -> Fraction | int:
-    # exact a/b for int|Fraction operands, int result demoted
-    if isinstance(a, int) and isinstance(b, int):
-        f = Fraction(a, b)
-    else:
-        f = Fraction(a) / Fraction(b)
-    return f.numerator if f.denominator == 1 else f
+def _integral(p: Polynomial) -> tuple[int, dict]:
+    # (d, p*d as a dict of ints) for d the lcm of p's denominators
+    d = lcm(*[c.denominator for c in p.terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
 
 
-def _neg_key(key: tuple) -> tuple:
-    return tuple(-v for v in key)
+def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
+    """(leading monomial, leading coefficient, tail) of g scaled to coprime
+    integers with a positive leading coefficient; rescaling a divisor
+    changes no remainder."""
+    lm = g.leading_monomial(order)
+    ints = _integral(g)[1]
+    unit = gcd(*ints.values()) if ints[lm] > 0 else -gcd(*ints.values())
+    lc = ints.pop(lm) // unit
+    return lm, lc, [(m, c // unit) for m, c in ints.items()]
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,9 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0].total_degree() == 0
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
-        return normal_form(f, self.generators, self.order, budget)
+        if "_reducers" not in self.__dict__:  # prepared on first use
+            object.__setattr__(self, "_reducers", [_reducer(g, self.order) for g in self])
+        return normal_form(f, self.generators, self.order, budget, self._reducers)
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -72,83 +90,95 @@ class GroebnerBasis:
         return len(self.generators)
 
 
+def _s_pair(ctx: VarContext, ri: tuple, rj: tuple) -> Polynomial:
+    # lcm(lc_i, lc_j) times the S-polynomial of two reducers, over the integers
+    (lmi, lci, ti), (lmj, lcj, tj) = ri, rj
+    l = tuple(map(max, lmi, lmj))
+    g = gcd(lci, lcj)
+    return Polynomial(ctx, [(tuple(map(add, m, u)), s * c)
+                            for tail, u, s in ((ti, tuple(map(sub, l, lmi)), lcj // g),
+                                               (tj, tuple(map(sub, l, lmj)), -lci // g))
+                            for m, c in tail])
+
+
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
-    l = mono_lcm(lmf, lmg)
-    return (_term_mul(f, mono_div(l, lmf), _ratio(1, f.leading_coefficient(order)))
-            - _term_mul(g, mono_div(l, lmg), _ratio(1, g.leading_coefficient(order))))
+    rf, rg = _reducer(f, order), _reducer(g, order)
+    return _s_pair(f.context, rf, rg) / lcm(rf[1], rg[1])
 
 
-def _term_mul(p: Polynomial, mono: Monomial, coeff) -> Polynomial:
-    return Polynomial(p.context, {mono_mul(e, mono): c * coeff for e, c in p.terms.items()})
-
-
-def _reduce(f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder,
-            budget: Budget | None, track: bool):
-    """Full multivariate division.  Reducer choice is by list position, so
-    the result is deterministic for a fixed generator list."""
-    key = order.key
-    reducers = [(g.leading_monomial(order), g.leading_coefficient(order), g)
-                for g in gens if not g.is_zero]
-    quotients = [dict() for _ in reducers] if track else None
-    work = dict(f.terms)
-    rem: dict = {}
-    heap = [(_neg_key(key(m)), m) for m in work]
+def _reduce(f: Polynomial, reducers: Sequence[tuple], order: MonomialOrder,
+            budget: Budget | None, quotients: list[dict] | None = None) -> Polynomial:
+    """Full multivariate division by prepared reducers: the first one in
+    list order whose leading monomial divides wins, so the result is
+    deterministic.  Quotients, when asked for, are of the scaled reducers."""
+    scale, work = _integral(f)
+    get = work.get
+    if order.kind == "degrevlex":  # the int key of the module docstring
+        width = 1 << f.total_degree().bit_length()
+        weights = [width ** i - width ** len(f.context) for i in range(len(f.context))]
+        key = lambda e: sum(map(mul, e, weights))
+    else:
+        key = lambda e, order_key=order.key: tuple(map(neg, order_key(e)))
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
+    rem: dict = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = heapq.heappop(heap)[1]
         c = work.pop(m, 0)
         if not c:
             continue
-        for idx, (lm, lc, g) in enumerate(reducers):
-            if mono_divides(lm, m):
-                if budget is not None:
-                    budget.tick()
-                q = mono_div(m, lm)
-                coef = _ratio(c, lc)
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    mm = mono_mul(m2, q)
-                    old = work.get(mm, 0)
-                    new = old - coef * c2
-                    if new:
-                        work[mm] = new
-                        if not old:
-                            heapq.heappush(heap, (_neg_key(key(mm)), mm))
-                    else:
-                        work.pop(mm, None)
-                if track:
-                    quotients[idx][q] = quotients[idx].get(q, 0) + coef
+        for idx, (lm, lc, tail) in enumerate(reducers):
+            if all(map(le, lm, m)):
                 break
         else:
-            rem[m] = c
-    remainder = Polynomial(f.context, rem)
-    if not track:
-        return remainder
-    return [Polynomial(f.context, qd) for qd in quotients], remainder
+            rem[m] = Fraction(c, scale)
+            continue
+        if budget is not None:
+            budget.tick()
+        g = gcd(c, lc)
+        if lc != g:  # scale the work so that lc divides c
+            for k in work:
+                work[k] *= lc // g
+            scale *= lc // g
+        c //= g
+        q = tuple(map(sub, m, lm))
+        for m2, c2 in tail:
+            mm = tuple(map(add, m2, q))
+            old = get(mm, 0)
+            new = old - c * c2
+            if new:
+                work[mm] = new
+                if not old:
+                    heapq.heappush(heap, (key(mm), mm))
+            else:
+                del work[mm]
+        if quotients is not None:
+            quotients[idx][q] = quotients[idx].get(q, 0) + Fraction(c, scale)
+    return Polynomial(f.context, rem)
 
 
 def normal_form(f: Polynomial, gens: Sequence[Polynomial],
-                order: MonomialOrder = DEGREVLEX,
-                budget: Budget | None = None) -> Polynomial:
+                order: MonomialOrder = DEGREVLEX, budget: Budget | None = None,
+                reducers: Sequence[tuple] | None = None) -> Polynomial:
     """Remainder of f on division by gens; zero iff f is in the ideal when
-    gens is a Groebner basis."""
-    return _reduce(f, gens, order, budget, track=False)
+    gens is a Groebner basis.  reducers, when given, are the _reducer
+    triples of the nonzero gens, in order."""
+    if reducers is None:
+        reducers = [_reducer(g, order) for g in gens if g]
+    return _reduce(f, reducers, order, budget)
 
 
 def divide(f: Polynomial, gens: Sequence[Polynomial],
            order: MonomialOrder = DEGREVLEX):
     """(quotients, remainder) with sum(q_i * g_i) + remainder == f exactly.
     Zero generators get a zero quotient."""
-    nonzero = [g for g in gens if not g.is_zero]
-    quots, rem = _reduce(f, nonzero, order, None, track=True)
-    out = []
-    it = iter(quots)
-    for g in gens:
-        out.append(next(it) if not g.is_zero else Polynomial.zero(f.context))
-    return out, rem
+    nonzero = [g for g in gens if g]
+    reducers = [_reducer(g, order) for g in nonzero]
+    quots: list[dict] = [{} for _ in nonzero]
+    rem = _reduce(f, reducers, order, None, quots)
+    it = iter(Polynomial(f.context, qd) * (Fraction(r[1]) / g.leading_coefficient(order))
+              for qd, r, g in zip(quots, reducers, nonzero))
+    return [next(it) if g else Polynomial.zero(f.context) for g in gens], rem
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
@@ -172,25 +202,20 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     def unit_basis() -> GroebnerBasis:
         return GroebnerBasis(ctx, order, (Polynomial.one(ctx),))
 
-    G: list[Polynomial] = []
-    lms: list[Monomial] = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        if g.total_degree() == 0:
-            return unit_basis()
-        g = g.primitive_part(order)
-        G.append(g)
-        lms.append(g.leading_monomial(order))
+    if any(g.total_degree() == 0 for g in gens):
+        return unit_basis()
+    G = [g.primitive_part(order) for g in gens if g]
     if not G:
         return GroebnerBasis(ctx, order, ())
+    reds = [_reducer(g, order) for g in G]
+    lms = [r[0] for r in reds]
 
     pq: list = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int):
         for i in range(j):
-            heapq.heappush(pq, (key(mono_lcm(lms[i], lms[j])), i, j))
+            heapq.heappush(pq, (key(tuple(map(max, lms[i], lms[j]))), i, j))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -203,48 +228,43 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
         pending.discard((i, j))
         if budget is not None:
             budget.tick()
-        lcm_ij = mono_lcm(lms[i], lms[j])
-        if lcm_ij == mono_mul(lms[i], lms[j]):
+        if not any(map(min, lms[i], lms[j])):
             continue  # product criterion: coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j or not mono_divides(lms[k], lcm_ij):
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                skip = True  # chain criterion: both companion pairs treated
-                break
-        if skip:
-            continue
-        r = normal_form(s_polynomial(G[i], G[j], order), G, order, budget)
+        lcm_ij = tuple(map(max, lms[i], lms[j]))
+        if any(k != i and k != j and all(map(le, lms[k], lcm_ij))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(G))):
+            continue  # chain criterion: both companion pairs treated
+        r = normal_form(_s_pair(ctx, reds[i], reds[j]), G, order, budget, reds)
         if r.is_zero:
             continue
         if r.total_degree() == 0:
             return unit_basis()
         r = r.primitive_part(order)
         G.append(r)
-        lms.append(r.leading_monomial(order))
+        reds.append(_reducer(r, order))
+        lms.append(reds[-1][0])
         push_pairs(len(G) - 1)
 
     # minimalize: drop generators whose leading monomial another one divides
     by_key = sorted(range(len(G)), key=lambda i: key(lms[i]))
     kept: list[int] = []
     for i in by_key:
-        if not any(mono_divides(lms[k], lms[i]) for k in kept):
+        if not any(all(map(le, lms[k], lms[i])) for k in kept):
             kept.append(i)
     basis = [G[i] for i in kept]
+    reds = [reds[i] for i in kept]
 
     # interreduce tails until stable
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1:]
-            r = normal_form(basis[idx], others, order, budget)
-            r = r.primitive_part(order)
+            r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
+                            reds[:idx] + reds[idx + 1:]).primitive_part(order)
             if r != basis[idx]:
                 basis[idx] = r
+                reds[idx] = _reducer(r, order)
                 changed = True
 
     basis = [b.monic(order) for b in basis]

@@ -16,7 +16,6 @@ import glob
 import io
 import itertools
 import os
-import shlex
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
@@ -24,8 +23,8 @@ from typing import Sequence
 from .budget import Budget, BudgetExceeded
 from .polyring import ParseError, Polynomial, VarContext
 from .problemfile import ProblemDoc, Settings, parse_problem
-from .solve import (SolveOutcome, SolveRequest, discover_solver, emit_smtlib,
-                    classify_finiteness, solve)
+from .solve import (ENV_SOLVER, SolveOutcome, SolveRequest, discover_solver,
+                    emit_smtlib, classify_finiteness, solve)
 from .synthesis import (InvariantSpec, LoopTemplate, SynthesisSystem,
                         check_invariants, generate_loops, instantiate, simulate)
 
@@ -71,10 +70,7 @@ def _resolve(settings: Settings, **overrides) -> Settings:
 
 
 def _solver_command(settings: Settings) -> list[str] | None:
-    if settings.solver:
-        argv = shlex.split(settings.solver)
-        return argv if "{file}" in argv else argv + ["{file}"]
-    return discover_solver()
+    return discover_solver({ENV_SOLVER: settings.solver} if settings.solver else None)
 
 
 def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
@@ -139,8 +135,10 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
             ok_exact = check_invariants(loop, doc.invariants,
                                         max_rounds=settings.max_rounds,
                                         budget=Budget(seconds=settings.synth_budget))
-        except BudgetExceeded:
-            ok_exact = False
+        except BudgetExceeded as exc:  # out of budget is no verdict
+            report.status = "TL"
+            report.error = str(exc)
+            return report
         report.verified = ok_sim and ok_exact
     return report
 

@@ -158,22 +158,6 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 
 Monomial = tuple
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b))
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(i <= j for i, j in zip(a, b))
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    # a / b; caller guarantees divisibility
-    return tuple(i - j for i, j in zip(a, b))
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(i, j) for i, j in zip(a, b))
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -543,8 +527,6 @@ class Polynomial:
         if self.leading_coefficient(order) < 0:
             c = -c
         return self / c
-
-    normalized = primitive_part
 
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         if not self.terms:

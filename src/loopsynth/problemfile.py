@@ -29,11 +29,10 @@ from typing import Sequence
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
-from .synthesis import ConcreteLoop, InvariantSpec, LoopTemplate
+from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SOLVE_BUDGET = 60.0
 DEFAULT_SYNTH_BUDGET = 300.0
-DEFAULT_MAX_ROUNDS = 32
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
     for q in S:
         p = q.substitute(bindings)
         if not p.is_zero:
-            polys.append(p.normalized(order))
+            polys.append(p.primitive_part(order))
     return SynthesisSystem(ctx.restrict(ctx.y_names), tuple(polys), len(S), rounds)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import (Budget, BudgetExceeded, Polynomial, VarContext,
                        all_in_radical, buchberger, divide, in_ideal,
@@ -45,6 +46,13 @@ class TestDivision:
             for g in gens:
                 lm = g.leading_monomial()
                 assert all(any(e < l for e, l in zip(m, lm)) for m in r.terms)
+
+    def test_non_monic_rational_divisors(self):
+        # the leading coefficient 3 does not divide the work's, so the
+        # integer kernel rescales; the remainder must still be exact
+        assert normal_form(P("x^2"), [P("3*x - 2")]) == P("4/9")
+        assert normal_form(P("x^2*y"), [P("3/2*x - y"), P("5*y^2 - 1/7")]) == P("4/315*y")
+        assert buchberger([P("3*x - 2")]).normal_form(P("x^2 + y")) == P("y + 4/9")
 
     def test_s_polynomial_cancels_leads(self):
         f, g = P("x^2 + y"), P("x*y + z")
@@ -168,3 +176,53 @@ class TestZeroDimensional:
         gb = buchberger([parse_polynomial("u^2 - 1", ctx)])
         assert is_zero_dimensional(gb, names=["u"])
         assert not is_zero_dimensional(gb, names=["u", "v"])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy (test-only; skipped when it is missing).
+
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _COEFFS,
+                         min_size=1, max_size=3).map(lambda d: Polynomial(CTX, d))
+_IDEALS = st.lists(_POLYS, min_size=1, max_size=3)
+_DIFFERENTIAL = settings(max_examples=25, deadline=None)
+
+
+def _to_sympy(sympy, p):
+    return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                 for m, c in p.terms.items()},
+                                sympy.symbols("x y z"), domain="QQ")
+
+
+def _monic_set(sympy, polys):
+    return {tuple(sorted(q.monic().as_dict().items())) for q in polys}
+
+
+@pytest.mark.parametrize("order, name", [(DEGREVLEX, "grevlex"), (LEX, "lex")])
+def test_reduced_basis_and_normal_form_match_sympy(order, name):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+
+    @_DIFFERENTIAL
+    @given(_IDEALS, _POLYS)
+    def check(ideal, f):
+        ours = buchberger(ideal, order)
+        theirs = sympy.groebner([_to_sympy(sympy, g).as_expr() for g in ideal],
+                                *gens, order=name, domain="QQ")
+        assert _monic_set(sympy, [_to_sympy(sympy, g) for g in ours]) == \
+            _monic_set(sympy, [sympy.Poly(g, *gens, domain="QQ") for g in theirs.exprs])
+        _, rem = sympy.reduced(_to_sympy(sympy, f).as_expr(), theirs.exprs, *gens,
+                               order=name, domain="QQ")
+        assert _to_sympy(sympy, ours.normal_form(f)) == sympy.Poly(rem, *gens, domain="QQ")
+        assert normal_form(f, list(ours), order) == ours.normal_form(f)
+
+    check()
+
+
+@_DIFFERENTIAL
+@given(_IDEALS, _POLYS, st.sampled_from([DEGREVLEX, LEX]))
+def test_divide_recombines_exactly(gens, f, order):
+    qs, r = divide(f, gens, order)
+    assert sum((q * g for q, g in zip(qs, gens)), Polynomial.zero(CTX)) + r == f
+    lms = [g.leading_monomial(order) for g in gens]
+    assert not any(all(a <= b for a, b in zip(lm, m)) for lm in lms for m in r.terms)

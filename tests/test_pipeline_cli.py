@@ -6,8 +6,9 @@ import stat
 
 import pytest
 
-from loopsynth import (ProblemDoc, grid_template, parse_problem, render_csv,
-                       render_table, run_benchmarks, run_check, run_pipeline)
+from loopsynth import (BudgetExceeded, ProblemDoc, grid_template, parse_problem,
+                       render_csv, render_table, run_benchmarks, run_check,
+                       run_pipeline)
 from loopsynth.cli import main
 
 FAST_SYNTH = """\
@@ -51,6 +52,14 @@ def check_file(tmp_path):
     return str(p)
 
 
+FAST_MODEL = ("((define-fun y1 () Int 1) (define-fun y2 () Int 0)"
+              " (define-fun y3 () Int 1))")
+
+
+def out_of_budget(*args, **kwargs):
+    raise BudgetExceeded("time budget of 0.5s exhausted")
+
+
 def sat_stub(tmp_path, model):
     path = tmp_path / "stub"
     path.write_text(f"#!/bin/sh\necho sat\necho '{model}'\n")
@@ -71,13 +80,21 @@ class TestRunPipeline:
 
     def test_sat_model_is_instantiated_and_verified(self, tmp_path):
         doc = parse_problem(FAST_SYNTH, name="fast")
-        stub = sat_stub(tmp_path,
-                        "((define-fun y1 () Int 1) (define-fun y2 () Int 0)"
-                        " (define-fun y3 () Int 1))")
+        stub = sat_stub(tmp_path, FAST_MODEL)
         report = run_pipeline(doc, solver=f"{stub} {{file}}")
         assert report.solver_status == "sat"
         assert report.assignment == {"y1": "1", "y2": "0", "y3": "1"}
         assert report.verified is True
+
+    def test_budget_exhaustion_during_verification_is_no_verdict(self, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setattr("loopsynth.pipeline.check_invariants", out_of_budget)
+        doc = parse_problem(FAST_SYNTH, name="fast")
+        report = run_pipeline(doc, solver=f"{sat_stub(tmp_path, FAST_MODEL)} {{file}}")
+        assert report.solver_status == "sat"
+        assert report.status == "TL"
+        assert report.verified is None
+        assert report.error == "time budget of 0.5s exhausted"
 
     def test_budget_exhaustion_reports_tl(self):
         doc = parse_problem(CUBIC_BENCH.read_text(), name="intro")
@@ -231,6 +248,15 @@ class TestCli:
     def test_bad_grid_cell(self, fast_file, capsys):
         assert main(["bench", fast_file, "--grid", "nope"]) == 1
         assert "grid" in capsys.readouterr().err
+
+    def test_synth_budget_out_during_verification(self, fast_file, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr("loopsynth.pipeline.check_invariants", out_of_budget)
+        stub = sat_stub(tmp_path, FAST_MODEL)
+        assert main(["synth", fast_file, "--solver", f"{stub} {{file}}"]) == 2
+        out = capsys.readouterr().out
+        assert "solution: y1 = 1, y2 = 0, y3 = 1" in out
+        assert "verified: unknown (time budget of 0.5s exhausted)" in out
 
     def test_budget_exit_code(self, tmp_path, capsys):
         p = tmp_path / "intro.loop"
