@@ -10,7 +10,7 @@ re-verifies every candidate exactly.
 from .budget import Budget, BudgetExceeded
 from .polyring import (ContextMismatchError, MonomialOrder, ParseError,
                        Polynomial, Rational, VarContext, parse_polynomial,
-                       DEGREVLEX, LEX, ELIM_LAST)
+                       DEGREVLEX, LEX)
 from .groebner import (GroebnerBasis, all_in_radical, buchberger, divide,
                        in_ideal, in_radical, is_zero_dimensional, normal_form,
                        s_polynomial)
@@ -32,7 +32,7 @@ __all__ = [
     "Budget", "BudgetExceeded",
     "ContextMismatchError", "MonomialOrder", "ParseError", "Polynomial",
     "Rational", "VarContext", "parse_polynomial",
-    "DEGREVLEX", "LEX", "ELIM_LAST",
+    "DEGREVLEX", "LEX",
     "GroebnerBasis", "all_in_radical", "buchberger", "divide", "in_ideal",
     "in_radical", "is_zero_dimensional", "normal_form", "s_polynomial",
     "ConcreteLoop", "InvariantSpec", "LoopTemplate", "SynthesisSystem",

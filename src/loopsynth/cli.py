@@ -16,8 +16,8 @@ import sys
 from typing import Sequence
 
 from .polyring import ParseError
-from .pipeline import (RunReport, render_csv, render_table, run_benchmarks,
-                       run_check, run_pipeline)
+from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
+                       run_benchmarks, run_check, run_pipeline)
 from .problemfile import parse_problem
 
 EXIT_OK = 0
@@ -66,8 +66,8 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="verify a concrete loop")
     p_check.add_argument("file")
-    p_check.add_argument("--steps", type=int, default=10,
-                         help="simulation length (default 10)")
+    p_check.add_argument("--steps", type=int, default=SIMULATION_STEPS,
+                         help="simulation length (default %(default)s)")
     p_check.add_argument("--json", action="store_true")
     _add_shared(p_check)
 

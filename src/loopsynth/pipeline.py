@@ -3,10 +3,11 @@
 run_pipeline drives a single synthesis problem through generate_loops,
 finiteness classification, SMT-LIB emission, the external solver (when one
 is available), and exact re-verification of any model by simulation plus
-the invariant-set criterion.  run_benchmarks maps that over a directory,
-isolating per-file failures into report rows, and renders CSV and a plain
-text table.  Budget exhaustion is reported as status TL with solver column
-NI (no input), never as a crash.
+the invariant-set criterion; one synthesis budget bounds synthesis,
+finiteness and verification together.  run_benchmarks maps that over a
+directory, isolating per-file failures into report rows, and renders CSV
+and a plain text table.  Budget exhaustion is reported as status TL with
+solver column NI (no input), never as a crash.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .polyring import ParseError, Polynomial, VarContext
 from .problemfile import ProblemDoc, Settings, parse_problem
 from .solve import (ENV_SOLVER, SolveOutcome, SolveRequest, discover_solver,
                     emit_smtlib, classify_finiteness, solve)
-from .synthesis import (InvariantSpec, LoopTemplate, SynthesisSystem,
-                        check_invariants, generate_loops, instantiate, simulate)
-
-SIMULATION_STEPS = 10
+from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
+                        LoopTemplate, SynthesisSystem, check_invariants,
+                        generate_loops, instantiate, simulate)
 
 
 @dataclass
@@ -108,11 +108,7 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
     report.rounds = system.rounds
     report.system = system.as_strings()
 
-    try:
-        report.finiteness = classify_finiteness(
-            system, budget=Budget(seconds=settings.synth_budget))
-    except BudgetExceeded:
-        report.finiteness = "unknown"
+    report.finiteness = classify_finiteness(system, budget=budget)
 
     request = SolveRequest(system, domain=settings.domain,
                            nonzero=settings.nonzero,
@@ -127,19 +123,9 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
     report.solve_seconds = time.perf_counter() - t0
     report.solver_status = outcome.status
     if outcome.status == "sat":
-        assignment = outcome.assignment
-        report.assignment = {k: str(v) for k, v in assignment.items()}
-        loop = instantiate(tpl, assignment)
-        ok_sim = simulate(loop, doc.invariants, SIMULATION_STEPS)
-        try:
-            ok_exact = check_invariants(loop, doc.invariants,
-                                        max_rounds=settings.max_rounds,
-                                        budget=Budget(seconds=settings.synth_budget))
-        except BudgetExceeded as exc:  # out of budget is no verdict
-            report.status = "TL"
-            report.error = str(exc)
-            return report
-        report.verified = ok_sim and ok_exact
+        report.assignment = {k: str(v) for k, v in outcome.assignment.items()}
+        _verify(report, instantiate(tpl, outcome.assignment), doc.invariants,
+                SIMULATION_STEPS, settings.max_rounds, budget)
     return report
 
 
@@ -157,24 +143,28 @@ def run_check(doc: ProblemDoc, *, steps: int = SIMULATION_STEPS,
                        m=len(doc.invariants.polys),
                        d=max(g.total_degree() for g in doc.invariants.polys))
     t0 = time.perf_counter()
-    ok_sim = simulate(loop, doc.invariants, steps)
+    _verify(report, loop, doc.invariants, steps, settings.max_rounds,
+            Budget(seconds=settings.synth_budget))
+    report.synth_seconds = time.perf_counter() - t0
+    return report
+
+
+def _verify(report: RunReport, loop: ConcreteLoop, invariants: InvariantSpec,
+            steps: int, max_rounds: int, budget: Budget) -> None:
+    """Simulation evidence plus the exact invariant-set criterion, into
+    report.verified; running out of budget is status TL and no verdict."""
+    ok_sim = simulate(loop, invariants, steps)
     try:
-        ok_exact = check_invariants(loop, doc.invariants,
-                                    max_rounds=settings.max_rounds,
-                                    budget=Budget(seconds=settings.synth_budget))
+        ok_exact = check_invariants(loop, invariants, max_rounds=max_rounds,
+                                    budget=budget)
     except BudgetExceeded as exc:
         report.status = "TL"
         report.error = str(exc)
-        report.synth_seconds = time.perf_counter() - t0
-        report.verified = False
-        return report
-    report.synth_seconds = time.perf_counter() - t0
+        return
     report.verified = ok_sim and ok_exact
     if ok_sim != ok_exact:
         # simulation can only under-approximate; exact says invariant fails
         report.error = f"simulation={ok_sim} exact={ok_exact}"
-        report.verified = False
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,8 @@ Monomial = tuple
 class MonomialOrder:
     """Admissible term order, exposed as an ascending sort key on exponents.
 
-    kinds: 'degrevlex' (default everywhere), 'lex', and 'elim_last', a block
-    order in which the trailing context variable (by convention the
-    auxiliary t) dominates, with degrevlex inside the remaining block.
-    Keys are flat int tuples, so elementwise negation inverts the order.
+    kinds: 'degrevlex' (default everywhere) and 'lex'.  Keys are flat int
+    tuples, so elementwise negation inverts the order.
     """
 
     kind: str
@@ -177,15 +175,11 @@ class MonomialOrder:
             return (sum(expo), *[-e for e in reversed(expo)])
         if kind == "lex":
             return tuple(expo)
-        if kind == "elim_last":
-            head = expo[:-1]
-            return (expo[-1], sum(head), *[-e for e in reversed(head)])
         raise ValueError(f"unknown order kind {kind!r}")
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
-ELIM_LAST = MonomialOrder("elim_last")
 
 
 class Polynomial:
@@ -502,21 +496,9 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators / lcm of denominators."""
-        if not self.terms:
-            return Fraction(0)
-        nums = []
-        dens = []
-        for c in self.terms.values():
-            f = Fraction(c)
-            nums.append(abs(f.numerator))
-            dens.append(f.denominator)
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        return Fraction(g, l)
+        cs = self.terms.values()
+        return Fraction(gcd(*[c.numerator for c in cs]),
+                        lcm(*[c.denominator for c in cs]))
 
     def primitive_part(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         """Divide by the content and fix the sign so the leading coefficient
@@ -524,14 +506,18 @@ class Polynomial:
         if not self.terms:
             return self
         c = self.content()
+        n, d = c.numerator, c.denominator
         if self.leading_coefficient(order) < 0:
-            c = -c
-        return self / c
+            n = -n
+        # x / (n/d) in exact integer arithmetic, so the coefficients stay int
+        return self._wrap({e: x.numerator * (d // x.denominator) // n
+                           for e, x in self.terms.items()})
 
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        return self / Fraction(self.leading_coefficient(order))
+        inv = _coeff(1 / Fraction(self.leading_coefficient(order)))
+        return self._wrap({e: _coeff(x * inv) for e, x in self.terms.items()})
 
     # -- printing ------------------------------------------------------------
 

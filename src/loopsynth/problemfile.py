@@ -29,9 +29,9 @@ from typing import Sequence
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
+from .solve import DEFAULT_SOLVE_SECONDS
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
-DEFAULT_SOLVE_BUDGET = 60.0
 DEFAULT_SYNTH_BUDGET = 300.0
 
 
@@ -40,7 +40,7 @@ class Settings:
     domain: str = "integers"
     nonzero: str = "vector"
     solver: str | None = None
-    solve_budget: float = DEFAULT_SOLVE_BUDGET
+    solve_budget: float = DEFAULT_SOLVE_SECONDS
     synth_budget: float = DEFAULT_SYNTH_BUDGET
     max_rounds: int = DEFAULT_MAX_ROUNDS
 

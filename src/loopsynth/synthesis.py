@@ -15,7 +15,8 @@ ideal; the accumulated polynomials then cut out the invariant set.  For
 synthesis the map is augmented with the coefficient block (mapped
 identically) and a guard flag z (multiplied by h each step), X is cut out
 by z*g_1..z*g_m, and afterwards x is bound to a and z to 1, leaving
-constraints on y alone.
+constraints on y alone.  check_invariants runs the same loop on the
+unaugmented map, evaluating each round along the orbit of the start point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .polyring import (DEGREVLEX, MonomialOrder, Polynomial, VarContext,
                        as_rational, fresh_name)
 
 DEFAULT_MAX_ROUNDS = 32
+SIMULATION_STEPS = 10
 
 
 def _require_program_context(ctx: VarContext, what: str):
@@ -161,10 +163,17 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
                    order: MonomialOrder, max_rounds: int,
-                   budget: Budget | None) -> tuple[list[Polynomial], int]:
+                   budget: Budget | None,
+                   start: dict | None = None) -> tuple[list[Polynomial], int] | None:
+    # With a start point, each round also advances its orbit one state.  The
+    # round-k batch is g o F^k, whose value at the start is g at state k: a
+    # nonzero value refutes (None) with no basis computation, and once the
+    # batch lands in the radical the zero values put the start in V(S).
     g = list(g)
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
+    if start is not None and any(p.evaluate(start) != 0 for p in g):
+        return None
     S = list(g)
     batch = [p.compose(F) for p in g]
     rounds = 0
@@ -175,6 +184,10 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
                 f"invariant-set round budget exceeded ({max_rounds} rounds)")
         if budget is not None:
             budget.tick()
+        if start is not None:
+            start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
+            if any(p.evaluate(start) != 0 for p in g):
+                return None
         if all_in_radical(batch, S, order, budget):
             return S, rounds
         S.extend(batch)
@@ -264,36 +277,12 @@ def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
     maps = [u.extend_context(ctx) for u in loop.update]
     maps.append(z * loop.guard.extend_context(ctx))
     zg = [z * g.extend_context(ctx) for g in invariants.polys]
-    # Interleave the stabilization rounds with exact evaluation along the
-    # orbit of (a, 1).  The round-k batch is zg o G^k, so its value at the
-    # start point is zg at the k-th state: a nonzero value refutes the
-    # invariant with no basis computation, and once the batch lands in the
-    # radical the accumulated zero evaluations say exactly that the start
-    # point lies in V(S).
-    state: dict = {n: a for n, a in zip(ctx.x_names, loop.init)}
-    state[zname] = 1
-    if any(p.evaluate(state) != 0 for p in zg):
-        return False
-    S = list(zg)
-    batch = [p.compose(maps) for p in zg]
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > max_rounds:
-            raise BudgetExceeded(
-                f"invariant-set round budget exceeded ({max_rounds} rounds)")
-        if budget is not None:
-            budget.tick()
-        state = {n: mp.evaluate(state) for n, mp in zip(ctx.names, maps)}
-        if any(p.evaluate(state) != 0 for p in zg):
-            return False
-        if all_in_radical(batch, S, order, budget):
-            return True
-        S.extend(batch)
-        batch = [p.compose(maps) for p in batch]
+    start = dict(zip(ctx.names, loop.init + (1,)))
+    return _invariant_set(zg, maps, order, max_rounds, budget, start) is not None
 
 
-def simulate(loop: ConcreteLoop, invariants: InvariantSpec, steps: int = 10) -> bool:
+def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
+             steps: int = SIMULATION_STEPS) -> bool:
     """Run the loop exactly for up to `steps` iterations; False iff some
     visited state (the terminal one included, when the guard vanishes)
     violates an invariant.  Evidence only: True is no proof."""

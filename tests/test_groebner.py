@@ -219,6 +219,25 @@ def test_reduced_basis_and_normal_form_match_sympy(order, name):
     check()
 
 
+def test_radical_membership_matches_sympy_rabinowitsch():
+    # f is in the radical of <S> iff <S, 1 - t*f> is the unit ideal
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z t")
+
+    # two generators at most: with three, sympy's Buchberger on the
+    # Rabinowitsch system sometimes takes minutes
+    @_DIFFERENTIAL
+    @given(st.lists(_POLYS, min_size=1, max_size=2), _POLYS)
+    def check(ideal, f):
+        t = gens[-1]
+        rabinowitsch = [_to_sympy(sympy, g).as_expr() for g in ideal]
+        rabinowitsch.append(1 - t * _to_sympy(sympy, f).as_expr())
+        theirs = sympy.groebner(rabinowitsch, *gens, order="grevlex", domain="QQ")
+        assert in_radical(f, ideal) == (list(theirs.exprs) == [1])
+
+    check()
+
+
 @_DIFFERENTIAL
 @given(_IDEALS, _POLYS, st.sampled_from([DEGREVLEX, LEX]))
 def test_divide_recombines_exactly(gens, f, order):

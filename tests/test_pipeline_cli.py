@@ -96,6 +96,19 @@ class TestRunPipeline:
         assert report.verified is None
         assert report.error == "time budget of 0.5s exhausted"
 
+    def test_one_budget_bounds_the_whole_run(self, tmp_path, monkeypatch):
+        import loopsynth.pipeline as pipeline
+        seen = []
+        for name in ("generate_loops", "classify_finiteness", "check_invariants"):
+            def record(*args, _original=getattr(pipeline, name), **kwargs):
+                seen.append(kwargs["budget"])
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, record)
+        doc = parse_problem(FAST_SYNTH, name="fast")
+        report = run_pipeline(doc, solver=f"{sat_stub(tmp_path, FAST_MODEL)} {{file}}")
+        assert report.verified is True
+        assert len(seen) == 3 and all(b is seen[0] for b in seen)
+
     def test_budget_exhaustion_reports_tl(self):
         doc = parse_problem(CUBIC_BENCH.read_text(), name="intro")
         report = run_pipeline(doc, synth_budget=0.02)
@@ -127,6 +140,14 @@ class TestRunCheck:
         report = run_check(doc)
         assert report.status == "ok"
         assert report.verified is False
+
+    def test_budget_exhaustion_is_no_verdict(self, monkeypatch):
+        monkeypatch.setattr("loopsynth.pipeline.check_invariants", out_of_budget)
+        report = run_check(parse_problem(CHECK, name="sum"))
+        assert report.status == "TL"
+        assert report.verified is None
+        assert report.error == "time budget of 0.5s exhausted"
+        assert report.synth_seconds is not None
 
     def test_rejects_synthesis_doc(self):
         doc = parse_problem(FAST_SYNTH, name="fast")

@@ -5,7 +5,7 @@ import pytest
 
 from loopsynth import (ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial,
-                       DEGREVLEX, LEX, ELIM_LAST)
+                       DEGREVLEX, LEX)
 from loopsynth.polyring import as_rational, format_polynomial, fresh_name
 
 CTX = VarContext(("x", "y", "z"))
@@ -118,14 +118,9 @@ class TestOrders:
     def test_lex_leading(self):
         assert P("x*z + y^2").leading_monomial(LEX) == (1, 0, 1)
 
-    def test_elim_last_groups_by_trailing_variable(self):
-        # any power of z dominates everything without z
-        assert P("x^5 + z").leading_monomial(ELIM_LAST) == (0, 0, 1)
-        assert P("x^5 + y").leading_monomial(ELIM_LAST) == (5, 0, 0)
-
     def test_keys_are_total(self):
         monos = [(2, 1, 0), (1, 2, 0), (0, 0, 3), (3, 0, 0), (1, 1, 1)]
-        for order in (DEGREVLEX, LEX, ELIM_LAST):
+        for order in (DEGREVLEX, LEX):
             keys = [order.key(m) for m in monos]
             assert len(set(keys)) == len(monos)
 
@@ -185,6 +180,12 @@ class TestContentPrimitive:
         p = P("-4*x^2 + 6*y")
         q = p.primitive_part()
         assert q == P("2*x^2 - 3*y")
+
+    def test_integral_results_have_int_coefficients(self):
+        # "int when integral": no Fraction(n, 1) survives the scaling
+        for q in (P("2*x^2 - 4*y").primitive_part(), P("x/2 - y/3").primitive_part(),
+                  P("3*x + 6").monic()):
+            assert all(type(c) is int for c in q.terms.values()), q.terms
 
     def test_monic(self):
         assert P("3*x + 6").monic() == P("x + 2")

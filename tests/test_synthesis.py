@@ -191,6 +191,17 @@ class TestSimulateAndCheck:
         with pytest.raises(ValueError):
             simulate(known_root_loop, cubic_invariants, 0)
 
+    def test_late_refutation_needs_the_third_round(self):
+        # x -> x + 1 from 0 meets x*(x-1)*(x-2) = 0 at states 0, 1 and 2 and
+        # first leaves it at state 3, which round 3 reaches
+        X = VarContext(("x",))
+        P = lambda s: parse_polynomial(s, X)
+        loop = ConcreteLoop(X, (0,), P("1"), (P("x + 1"),))
+        inv = InvariantSpec((P("x*(x - 1)*(x - 2)"),))
+        assert not check_invariants(loop, inv)
+        with pytest.raises(BudgetExceeded):
+            check_invariants(loop, inv, max_rounds=2)
+
     def test_budget_propagates(self, known_root_loop, cubic_invariants):
         with pytest.raises(BudgetExceeded):
             check_invariants(known_root_loop, cubic_invariants,
