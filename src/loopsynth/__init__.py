@@ -17,11 +17,10 @@ from .groebner import (GroebnerBasis, all_in_radical, buchberger, divide,
 from .synthesis import (ConcreteLoop, InvariantSpec, LoopTemplate,
                         SynthesisSystem, build_augmented_map, check_invariants,
                         generate_loops, instantiate, invariant_set, simulate)
-from .solve import (EnumerationCapError, LinearSolution, SolveOutcome,
-                    SolveRequest, SolverOutputError, brute_force_box,
-                    classify_finiteness, discover_solver, emit_smtlib,
-                    parse_sexprs, rational_roots, run_external_solver, solve,
-                    solve_linear, verify_assignment)
+from .solve import (EnumerationCapError, SolveOutcome, SolveRequest,
+                    SolverOutputError, brute_force_box, classify_finiteness,
+                    discover_solver, emit_smtlib, parse_sexprs, rational_roots,
+                    run_external_solver, solve, verify_assignment)
 from .problemfile import ProblemDoc, Settings, format_problem, parse_problem
 from .pipeline import (RunReport, grid_template, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
@@ -38,10 +37,10 @@ __all__ = [
     "ConcreteLoop", "InvariantSpec", "LoopTemplate", "SynthesisSystem",
     "build_augmented_map", "check_invariants", "generate_loops",
     "instantiate", "invariant_set", "simulate",
-    "EnumerationCapError", "LinearSolution", "SolveOutcome", "SolveRequest",
+    "EnumerationCapError", "SolveOutcome", "SolveRequest",
     "SolverOutputError", "brute_force_box", "classify_finiteness",
     "discover_solver", "emit_smtlib", "parse_sexprs", "rational_roots",
-    "run_external_solver", "solve", "solve_linear", "verify_assignment",
+    "run_external_solver", "solve", "verify_assignment",
     "ProblemDoc", "Settings", "format_problem", "parse_problem",
     "RunReport", "grid_template", "render_csv", "render_table",
     "run_benchmarks", "run_check", "run_pipeline",

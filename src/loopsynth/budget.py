@@ -35,8 +35,3 @@ class Budget:
             raise BudgetExceeded(f"step budget exceeded ({self.max_steps} steps)")
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"time budget exceeded ({self.seconds:g}s)")
-
-    def remaining_seconds(self) -> float | None:
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - time.monotonic())

@@ -18,11 +18,9 @@ like the tuple key while every exponent is below W, which holds as division
 under a degree-compatible order makes no term of degree above deg f.
 
 Radical membership uses the auxiliary-variable trick: f lies in the
-radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  Two
-exactness-preserving shortcuts run first: f is reduced modulo a basis of
-<S> (answering True on remainder 0, or on a vanishing square), and a
-variable w is divided out when every term of every input carries w to
-the first power exactly (V(w*u_1,...) = V(w) u V(u_1,...)).
+radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  One
+exactness-preserving shortcut runs first: f is reduced modulo a basis of
+<S> (answering True on remainder 0, or on a vanishing square).
 """
 
 from __future__ import annotations
@@ -282,24 +280,6 @@ def in_ideal(f: Polynomial, basis: GroebnerBasis, budget: Budget | None = None) 
 _SQUARE_TERM_CAP = 120  # skip the cheap square probe on huge remainders
 
 
-def _strippable(polys: Iterable[Polynomial], arity: int) -> tuple[int, ...]:
-    # variables carried to the first power exactly by every term everywhere
-    cand = set(range(arity))
-    for p in polys:
-        for e in p.terms:
-            cand = {i for i in cand if e[i] == 1}
-            if not cand:
-                return ()
-    return tuple(sorted(cand))
-
-
-def _strip(p: Polynomial, idxs: tuple[int, ...]) -> Polynomial:
-    drop = set(idxs)
-    return Polynomial(p.context, {
-        tuple(0 if i in drop else e for i, e in enumerate(expo)): c
-        for expo, c in p.terms.items()})
-
-
 def _radical_member(f: Polynomial, basis: GroebnerBasis, order: MonomialOrder,
                     budget: Budget | None) -> bool:
     r = basis.normal_form(f, budget)
@@ -329,15 +309,9 @@ def all_in_radical(fs: Sequence[Polynomial], S: Sequence[Polynomial],
     """True iff every f in fs lies in the radical of <S>.  The basis of <S>
     is computed once and shared; evaluation short-circuits on the first
     failure."""
-    fs = list(fs)
     S = list(S)
     if not S:
         raise ValueError("all_in_radical needs a nonempty S")
-    ctx = S[0].context
-    idxs = _strippable(S + fs, ctx.arity)
-    if idxs:
-        S = [_strip(p, idxs) for p in S]
-        fs = [_strip(p, idxs) for p in fs]
     basis = buchberger(S, order, budget)
     return all(_radical_member(f, basis, order, budget) for f in fs)
 

@@ -4,9 +4,9 @@ Coefficients are arbitrary-precision rationals (`fractions.Fraction`; plain
 ints are accepted everywhere and kept as ints internally for speed, floats
 are rejected).  A VarContext fixes an ordered variable universe split into
 blocks: program variables first, then coefficient variables, then an
-optional guard flag and an optional auxiliary variable, which always sits
-last.  Monomials are dense exponent tuples indexed by that order, and
-polynomials are immutable dicts from exponent tuple to nonzero coefficient.
+optional auxiliary variable, which always sits last.  Monomials are dense
+exponent tuples indexed by that order, and polynomials are immutable dicts
+from exponent tuple to nonzero coefficient.
 
 The text format read by parse_polynomial and produced by str()/
 format_polynomial is:
@@ -23,7 +23,7 @@ Printing uses the degrevlex order, largest term first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -76,6 +76,15 @@ def _coeff(value) -> Coeff:
     raise TypeError(f"bad coefficient {value!r} (floats are rejected; use Fraction)")
 
 
+def _int_when_integral(terms: dict, a: Iterable, b: Iterable) -> dict:
+    # terms, made from the coefficients a and b, in _coeff's normal form.
+    # Ints alone only make ints, so the terms are rescanned only when a
+    # Fraction took part.
+    if Fraction in map(type, a) or Fraction in map(type, b):
+        return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+    return terms
+
+
 _IDENT_OK = str.isidentifier
 
 
@@ -84,28 +93,26 @@ class VarContext:
     """Ordered, block-structured variable universe shared by polynomials.
 
     Blocks, in order: x_names (program variables), y_names (coefficient
-    variables), z_name (guard flag), t_name (auxiliary, e.g. the radical
-    membership witness).  Names are unique identifiers; the total order is
-    fixed at construction and indexes every exponent tuple.
+    variables), t_name (auxiliary, e.g. the radical membership witness).
+    Names are unique identifiers; the total order is fixed at construction
+    and indexes every exponent tuple.
     """
 
     x_names: tuple[str, ...]
     y_names: tuple[str, ...] = ()
-    z_name: str | None = None
     t_name: str | None = None
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = self.names
+        names = tuple(self.x_names) + tuple(self.y_names)
+        if self.t_name is not None:
+            names += (self.t_name,)
         for n in names:
             if not isinstance(n, str) or not _IDENT_OK(n):
                 raise ValueError(f"bad variable name: {n!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        tail = tuple(n for n in (self.z_name, self.t_name) if n is not None)
-        return tuple(self.x_names) + tuple(self.y_names) + tail
+        object.__setattr__(self, "names", names)
 
     @property
     def arity(self) -> int:
@@ -127,8 +134,7 @@ class VarContext:
         """Extend with a fresh trailing auxiliary variable."""
         if self.t_name is not None:
             raise ValueError("context already has an auxiliary variable")
-        return VarContext(self.x_names, self.y_names, self.z_name,
-                          fresh_name(base, self.names))
+        return VarContext(self.x_names, self.y_names, fresh_name(base, self.names))
 
     def restrict(self, keep: Iterable[str]) -> "VarContext":
         """Sub-context with only the given names, block roles preserved."""
@@ -139,7 +145,6 @@ class VarContext:
         return VarContext(
             tuple(n for n in self.x_names if n in keep),
             tuple(n for n in self.y_names if n in keep),
-            self.z_name if self.z_name in keep else None,
             self.t_name if self.t_name in keep else None,
         )
 
@@ -325,7 +330,8 @@ class Polynomial:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-        return self._wrap(terms)
+        return self._wrap(_int_when_integral(terms, self.terms.values(),
+                                             other.terms.values()))
 
     __radd__ = __add__
 
@@ -347,7 +353,8 @@ class Polynomial:
             c0 = _coeff(other)
             if not c0:
                 return Polynomial.zero(self.context)
-            return self._wrap({e: c * c0 for e, c in self.terms.items()})
+            return self._wrap(_int_when_integral(
+                {e: c * c0 for e, c in self.terms.items()}, self.terms.values(), (c0,)))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
@@ -361,7 +368,8 @@ class Polynomial:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return self._wrap(acc)
+        return self._wrap(_int_when_integral(acc, self.terms.values(),
+                                             other.terms.values()))
 
     __rmul__ = __mul__
 

@@ -1,9 +1,9 @@
 """Searching a synthesis system for rational or integer solutions.
 
-Four independent routes, kept deliberately separate so they can
+Three independent routes, kept deliberately separate so they can
 cross-check each other: an SMT-LIB2 back end driven through an external
-solver binary, exact linear solving for degree-1 systems, rational root
-isolation for univariate members, and a brute-force integer box search.
+solver binary, rational root isolation for univariate members, and a
+brute-force integer box search.
 classify_finiteness tells apart finitely and infinitely many solutions
 over the algebraic closure.
 
@@ -349,92 +349,6 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
                             diagnostics="empty system: every vector is a solution")
     script = emit_smtlib(request)
     return run_external_solver(script, request.budget_seconds, command, request)
-
-
-# ---------------------------------------------------------------------------
-# Exact linear systems.
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Affine solution set particular + span(basis); empty when
-    particular is None (inconsistent system)."""
-
-    variables: tuple[str, ...]
-    particular: tuple[Fraction, ...] | None
-    basis: tuple[tuple[Fraction, ...], ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    @property
-    def dimension(self) -> int:
-        return -1 if self.is_empty else len(self.basis)
-
-    def point(self, params: Sequence = ()) -> tuple[Fraction, ...]:
-        if self.is_empty:
-            raise ValueError("empty solution set has no points")
-        params = [as_rational(p) for p in params]
-        if len(params) != len(self.basis):
-            raise ValueError(f"need {len(self.basis)} parameters")
-        out = list(self.particular)
-        for lam, vec in zip(params, self.basis):
-            for i, v in enumerate(vec):
-                out[i] += lam * v
-        return tuple(out)
-
-
-def solve_linear(system: SynthesisSystem) -> LinearSolution | None:
-    """Exact parametric solution when every polynomial has degree <= 1;
-    None when the system is not linear."""
-    names = system.context.names
-    l = len(names)
-    if any(p.total_degree() > 1 for p in system.polys):
-        return None
-    rows: list[list[Fraction]] = []
-    for p in system.polys:
-        row = [Fraction(0)] * (l + 1)
-        for expo, c in p.terms.items():
-            deg = sum(expo)
-            if deg == 0:
-                row[l] -= c  # constant moves to the right-hand side
-            else:
-                row[expo.index(1)] += c
-        rows.append([Fraction(v) for v in row])
-    # Gauss-Jordan to reduced row echelon form
-    pivots: list[int] = []
-    r = 0
-    for col in range(l):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][l] != 0:
-            return LinearSolution(tuple(names), None)
-    free = [c for c in range(l) if c not in pivots]
-    particular = [Fraction(0)] * l
-    for i, col in enumerate(pivots):
-        particular[col] = rows[i][l]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * l
-        vec[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][fc]
-        basis.append(tuple(vec))
-    return LinearSolution(tuple(names), tuple(particular), tuple(basis))
 
 
 # ---------------------------------------------------------------------------

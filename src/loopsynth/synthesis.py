@@ -11,12 +11,17 @@ The machinery underneath is the invariant-set computation: the largest
 subset of an algebraic set X that a polynomial map never leaves.  Starting
 from the defining polynomials of X, keep composing with the map and adding
 the batch until the new batch lands in the radical of the accumulated
-ideal; the accumulated polynomials then cut out the invariant set.  For
-synthesis the map is augmented with the coefficient block (mapped
-identically) and a guard flag z (multiplied by h each step), X is cut out
-by z*g_1..z*g_m, and afterwards x is bound to a and z to 1, leaving
-constraints on y alone.  check_invariants runs the same loop on the
-unaugmented map, evaluating each round along the orbit of the start point.
+ideal; the accumulated polynomials then cut out the invariant set.
+
+The guard enters as a factor: round k+1 holds h * (q o F) for each q of
+round k, so a state where h vanishes imposes nothing further.  This gives
+the paper's result without its flag variable z, which stabilizes V(z*g)
+under (F(x), y, z*h(x)) and binds z = 1 at the end: every polynomial there
+is z times one of these, V(z*U) = V(z) u V(U), and z = 1 at the start lies
+off V(z).  For synthesis the map is augmented with the coefficient block
+(mapped identically), and afterwards x is bound to a, leaving constraints
+on y alone.  check_invariants runs the same loop on the concrete map,
+evaluating each round along the orbit of the start point.
 """
 
 from __future__ import annotations
@@ -28,14 +33,14 @@ from typing import Mapping, Sequence
 from .budget import Budget, BudgetExceeded
 from .groebner import all_in_radical
 from .polyring import (DEGREVLEX, MonomialOrder, Polynomial, VarContext,
-                       as_rational, fresh_name)
+                       as_rational)
 
 DEFAULT_MAX_ROUNDS = 32
 SIMULATION_STEPS = 10
 
 
 def _require_program_context(ctx: VarContext, what: str):
-    if ctx.y_names or ctx.z_name or ctx.t_name:
+    if ctx.y_names or ctx.t_name:
         raise ValueError(f"{what} must use a program-variable context only")
     if not ctx.x_names:
         raise ValueError(f"{what} needs at least one program variable")
@@ -157,25 +162,29 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     Raises BudgetExceeded when the radical checks have not stabilized after
     max_rounds rounds.
     """
-    polys, _ = _invariant_set(g, F, order, max_rounds, budget)
+    g = list(g)
+    if not g:
+        raise ValueError("invariant_set needs at least one polynomial")
+    polys, _ = _invariant_set(g, F, Polynomial.one(g[0].context), order,
+                              max_rounds, budget)
     return polys
 
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                   order: MonomialOrder, max_rounds: int,
+                   h: Polynomial, order: MonomialOrder, max_rounds: int,
                    budget: Budget | None,
                    start: dict | None = None) -> tuple[list[Polynomial], int] | None:
-    # With a start point, each round also advances its orbit one state.  The
-    # round-k batch is g o F^k, whose value at the start is g at state k: a
+    # Invariant set of V(g) under F for the loop guarded by h.  With a start
+    # point, each round also advances its orbit one state and w, the product
+    # of the guard values at the states passed.  The round-k batch is g o F^k
+    # times h o F^j for j < k, whose value at the start is w * g at state k: a
     # nonzero value refutes (None) with no basis computation, and once the
     # batch lands in the radical the zero values put the start in V(S).
-    g = list(g)
-    if not g:
-        raise ValueError("invariant_set needs at least one polynomial")
     if start is not None and any(p.evaluate(start) != 0 for p in g):
         return None
+    w = 1
     S = list(g)
-    batch = [p.compose(F) for p in g]
+    batch = [h * p.compose(F) for p in g]
     rounds = 0
     while True:
         rounds += 1
@@ -185,21 +194,22 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
         if budget is not None:
             budget.tick()
         if start is not None:
+            w *= h.evaluate(start)
             start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
-            if any(p.evaluate(start) != 0 for p in g):
+            if any(w * p.evaluate(start) != 0 for p in g):
                 return None
         if all_in_radical(batch, S, order, budget):
             return S, rounds
         S.extend(batch)
-        batch = [p.compose(F) for p in batch]
+        batch = [h * p.compose(F) for p in batch]
 
 
 def build_augmented_map(template: LoopTemplate) -> tuple[list[Polynomial], VarContext]:
-    """The synthesis map G(x, y, z) = (sum_j y_ij f_ij(x), y, z*h(x)) over
-    the extended context (x-block, y-block, z)."""
+    """The synthesis map G(x, y) = (sum_j y_ij f_ij(x), y) over the extended
+    context (x-block, y-block); the guard is not part of it (see the module
+    docstring)."""
     ynames = template.coefficient_names
-    zname = fresh_name("z", template.context.names + ynames)
-    ctx = VarContext(template.context.x_names, ynames, zname)
+    ctx = VarContext(template.context.x_names, ynames)
     maps: list[Polynomial] = []
     k = 0
     for gens in template.generators:
@@ -210,7 +220,6 @@ def build_augmented_map(template: LoopTemplate) -> tuple[list[Polynomial], VarCo
         maps.append(comp)
     for yn in ynames:
         maps.append(Polynomial.variable(ctx, yn))
-    maps.append(Polynomial.variable(ctx, zname) * template.guard.extend_context(ctx))
     return maps, ctx
 
 
@@ -219,17 +228,16 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
                    max_rounds: int = DEFAULT_MAX_ROUNDS,
                    budget: Budget | None = None) -> SynthesisSystem:
     """Exact constraints on the template coefficients y making every
-    invariant hold along the loop: the invariant set of V(z*g_1..z*g_m)
-    under the augmented map, with x bound to a and z to 1, zero results
-    dropped, and survivors content-normalized for printing."""
+    invariant hold along the loop: the invariant set of V(g_1..g_m) under
+    the augmented map with the guard h as a factor, with x bound to a, zero
+    results dropped, and survivors content-normalized for printing."""
     if invariants.context != template.context:
         raise ValueError("invariants must live in the template context")
     maps, ctx = build_augmented_map(template)
-    z = Polynomial.variable(ctx, ctx.z_name)
-    zg = [z * g.extend_context(ctx) for g in invariants.polys]
-    S, rounds = _invariant_set(zg, maps, order, max_rounds, budget)
-    bindings: dict = {n: a for n, a in zip(ctx.x_names, template.init)}
-    bindings[ctx.z_name] = 1
+    gs = [g.extend_context(ctx) for g in invariants.polys]
+    S, rounds = _invariant_set(gs, maps, template.guard.extend_context(ctx),
+                               order, max_rounds, budget)
+    bindings = dict(zip(ctx.x_names, template.init))
     polys = []
     for q in S:
         p = q.substitute(bindings)
@@ -267,18 +275,14 @@ def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
                      order: MonomialOrder = DEGREVLEX,
                      max_rounds: int = DEFAULT_MAX_ROUNDS,
                      budget: Budget | None = None) -> bool:
-    """Exact invariance test: all g vanish on every reachable state iff
-    (a, 1) lies in the invariant set of V(z*g) under (F(x), z*h(x))."""
+    """Exact invariance test: all g vanish on every reachable state iff a
+    lies in the invariant set of V(g) under F with the guard h as a factor
+    (see the module docstring)."""
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
-    zname = fresh_name("z", loop.context.names)
-    ctx = VarContext(loop.context.x_names, (), zname)
-    z = Polynomial.variable(ctx, zname)
-    maps = [u.extend_context(ctx) for u in loop.update]
-    maps.append(z * loop.guard.extend_context(ctx))
-    zg = [z * g.extend_context(ctx) for g in invariants.polys]
-    start = dict(zip(ctx.names, loop.init + (1,)))
-    return _invariant_set(zg, maps, order, max_rounds, budget, start) is not None
+    start = dict(zip(loop.context.names, loop.init))
+    return _invariant_set(invariants.polys, loop.update, loop.guard, order,
+                          max_rounds, budget, start) is not None
 
 
 def simulate(loop: ConcreteLoop, invariants: InvariantSpec,

@@ -142,7 +142,7 @@ class TestRadical:
     def test_flag_variable_strip_agrees_with_direct(self):
         # radical membership of w*f in <w*g_i> equals membership of f in
         # <g_i> when w appears to power exactly 1 everywhere
-        ctx = VarContext(("x", "y"), (), "w")
+        ctx = VarContext(("x", "y", "w"))
         Q = lambda s: parse_polynomial(s, ctx)
         rng = random.Random(17)
         pool = ["x", "y", "x + y", "x^2", "x*y - 1", "y^2 + x", "x - 1"]

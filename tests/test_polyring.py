@@ -17,11 +17,13 @@ def P(s, ctx=CTX):
 
 class TestContext:
     def test_blocks_and_order(self):
-        ctx = VarContext(("x1", "x2"), ("y1",), "w")
-        assert ctx.names == ("x1", "x2", "y1", "w")
+        ctx = VarContext(("x1", "x2"), ("y1",), "t")
+        assert ctx.names == ("x1", "x2", "y1", "t")
         assert ctx.arity == 4
         assert "y1" in ctx and "q" not in ctx
-        assert ctx.index("w") == 3
+        assert ctx.index("t") == 3
+        assert repr(ctx) == ("VarContext(x_names=('x1', 'x2'), "
+                             "y_names=('y1',), t_name='t')")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -36,11 +38,12 @@ class TestContext:
         assert ext.names == ("t", "t_", "t__")
 
     def test_restrict_keeps_roles(self):
-        ctx = VarContext(("x1",), ("y1", "y2"), "z")
+        ctx = VarContext(("x1",), ("y1", "y2"), "t")
         sub = ctx.restrict(("y1", "y2"))
         assert sub.names == ("y1", "y2")
         assert sub.y_names == ("y1", "y2")
-        assert sub.z_name is None
+        assert sub.t_name is None
+        assert ctx.restrict(("x1", "t")).t_name == "t"
 
     def test_fresh_name(self):
         assert fresh_name("z", ("x",)) == "z"
@@ -85,6 +88,15 @@ class TestArithmetic:
         assert P("x") * Fraction(1, 2) == P("x/2")
         assert P("3*x") / 3 == P("x")
         assert 2 - P("x") == P("2 - x")
+
+    def test_integral_sums_and_products_have_int_coefficients(self):
+        # "int when integral" holds where a Fraction took part
+        for q in (P("x/2") + P("x/2"), P("x/2") * P("2*y"),
+                  P("x/2") * P("2*y/3") * 3, P("x/3") * Fraction(3)):
+            assert all(type(c) is int for c in q.terms.values()), q.terms
+        q = P("x/2 + y/2") + P("x/2 + y/3")
+        assert {m: type(c) for m, c in q.terms.items()} == {(1, 0, 0): int,
+                                                            (0, 1, 0): Fraction}
 
     def test_pow(self):
         assert P("x + y") ** 3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3")

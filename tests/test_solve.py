@@ -8,8 +8,7 @@ from loopsynth import (Budget, EnumerationCapError, Polynomial, SolveRequest,
                        SolverOutputError, SynthesisSystem, VarContext,
                        brute_force_box, classify_finiteness, emit_smtlib,
                        parse_polynomial, parse_sexprs, rational_roots,
-                       run_external_solver, solve, solve_linear,
-                       verify_assignment)
+                       run_external_solver, solve, verify_assignment)
 
 
 def mksys(names, *texts):
@@ -208,43 +207,6 @@ echo '((define-fun y1 () Int 2) (define-fun y2 () Int 1))'
 """)
         out = solve(self.req, command=[cmd, "{file}"])
         assert out.status == "sat" and out.integral
-
-
-class TestSolveLinear:
-    def test_unique_point(self):
-        sol = solve_linear(mksys(("y1", "y2"), "y1 - 1", "y2 + 2"))
-        assert sol.dimension == 0
-        assert sol.point() == (1, -2)
-
-    def test_two_parameter_family(self):
-        sol = solve_linear(mksys(("y1", "y2", "y3", "y4", "y5"),
-                                 "y5", "y3 + y4", "y1 + y2"))
-        assert sol.dimension == 2
-        system = mksys(("y1", "y2", "y3", "y4", "y5"),
-                       "y5", "y3 + y4", "y1 + y2")
-        rng = random.Random(23)
-        for _ in range(10):
-            params = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                      for _ in range(2)]
-            pt = sol.point(params)
-            state = dict(zip(system.context.names, pt))
-            assert all(p.evaluate(state) == 0 for p in system.polys)
-            assert pt[4] == 0 and pt[0] == -pt[1] and pt[2] == -pt[3]
-
-    def test_inconsistent(self):
-        sol = solve_linear(mksys(("y1",), "y1", "y1 - 1"))
-        assert sol.is_empty
-        with pytest.raises(ValueError):
-            sol.point()
-
-    def test_nonlinear_refused(self):
-        assert solve_linear(mksys(("y1",), "y1^2 - 1")) is None
-
-    def test_rational_elimination(self):
-        sol = solve_linear(mksys(("y1", "y2"), "2*y1 + 3*y2 - 1",
-                                 "4*y1 - y2 - 5"))
-        assert sol.dimension == 0
-        assert sol.point() == (Fraction(8, 7), Fraction(-3, 7))
 
 
 class TestRationalRoots:

@@ -5,7 +5,8 @@ import pytest
 from loopsynth import (Budget, BudgetExceeded, ConcreteLoop, InvariantSpec,
                        LoopTemplate, Polynomial, VarContext,
                        build_augmented_map, check_invariants, generate_loops,
-                       instantiate, invariant_set, parse_polynomial, simulate)
+                       instantiate, invariant_set, parse_polynomial,
+                       parse_problem, simulate)
 
 X2 = VarContext(("x1", "x2"))
 
@@ -52,15 +53,10 @@ class TestTemplates:
 class TestAugmentedMap:
     def test_shape(self, cubic_template):
         maps, ctx = build_augmented_map(cubic_template)
-        assert ctx.names == ("x1", "x2", "x3", "y1", "y2", "y3", "y4", "y5", "z")
+        assert ctx.names == ("x1", "x2", "x3", "y1", "y2", "y3", "y4", "y5")
         want = ["y1*x1^3 + y2*x2^2", "y3*x1 + y4*x2^2", "y5*x1",
-                "y1", "y2", "y3", "y4", "y5", "z"]
+                "y1", "y2", "y3", "y4", "y5"]
         assert maps == [parse_polynomial(s, ctx) for s in want]
-
-    def test_guard_multiplies_flag(self):
-        tpl = LoopTemplate(X2, (1, 1), P2("x2"), ((P2("x1"),), (P2("x2"),)))
-        maps, ctx = build_augmented_map(tpl)
-        assert maps[-1] == parse_polynomial("z*x2", ctx)
 
 
 class TestInvariantSet:
@@ -115,6 +111,22 @@ class TestGenerateLoops:
         system = generate_loops(tpl, spec)
         assert any(p.total_degree() == 0 for p in system.polys)
 
+    def test_guard_enters_as_factor(self):
+        # x1 counts down to the guard's zero while x2 counts up; the system
+        # is pinned to the output of the flag-variable construction
+        doc = parse_problem("vars x1 x2\ninit 3 0\nguard x1\n"
+                            "invariant x1 + x2 - 3\ngen x1: x1, 1\ngen x2: x2, 1\n")
+        system = generate_loops(doc.template, doc.invariants)
+        assert (system.q_count, system.rounds) == (3, 3)
+        assert system.as_strings() == [
+            "3*y1 + y2 + y4 - 3",
+            "9*y1^3 + 6*y1^2*y2 + y1*y2^2 + 3*y1*y3*y4 + y2*y3*y4 + 3*y1*y2"
+            " + y2^2 + 3*y1*y4 + y2*y4 - 9*y1 - 3*y2"]
+        assert check_invariants(instantiate(doc.template, (1, -1, 1, 1)),
+                                doc.invariants)
+        assert not check_invariants(instantiate(doc.template, (1, -1, 0, 1)),
+                                    doc.invariants)
+
     def test_context_mismatch(self, cubic_template):
         with pytest.raises(ValueError):
             generate_loops(cubic_template, InvariantSpec((P2("x1"),)))
@@ -156,9 +168,10 @@ class TestSimulateAndCheck:
 
     def test_invariant_checked_at_terminal_state(self):
         # guard x1-1 vanishes at init, so the loop body never runs, but the
-        # initial (= terminal) state itself must satisfy the invariants
+        # initial (= terminal) state itself must satisfy the invariants; the
+        # state x2 = 5 after it is never reached
         P = P2
-        loop = ConcreteLoop(X2, (1, 4), P("x1 - 1"), (P("x1"), P("x2")))
+        loop = ConcreteLoop(X2, (1, 4), P("x1 - 1"), (P("x1"), P("x2 + 1")))
         holds = InvariantSpec((P("x2 - 4"),))
         fails = InvariantSpec((P("x2 - 5"),))
         assert simulate(loop, holds, 5)
