@@ -303,16 +303,21 @@ def in_radical(f: Polynomial, S: Sequence[Polynomial],
     return all_in_radical([f], S, order, budget)
 
 
-def all_in_radical(fs: Sequence[Polynomial], S: Sequence[Polynomial],
+def all_in_radical(fs: Sequence[Polynomial], S: Sequence[Polynomial] | GroebnerBasis,
                    order: MonomialOrder = DEGREVLEX,
                    budget: Budget | None = None) -> bool:
-    """True iff every f in fs lies in the radical of <S>.  The basis of <S>
-    is computed once and shared; evaluation short-circuits on the first
-    failure."""
-    S = list(S)
-    if not S:
-        raise ValueError("all_in_radical needs a nonempty S")
-    basis = buchberger(S, order, budget)
+    """True iff every f in fs lies in the radical of <S>.  S is a nonempty
+    list of generators, whose basis is computed once and shared, or a
+    GroebnerBasis, which is used as it is.  Evaluation short-circuits on
+    the first failure.  Callers that pass remainders modulo the basis lose
+    nothing: the first step reduces f, and f - NF(f) lies in <S>."""
+    if isinstance(S, GroebnerBasis):
+        basis = S
+    else:
+        S = list(S)
+        if not S:
+            raise ValueError("all_in_radical needs a nonempty S")
+        basis = buchberger(S, order, budget)
     return all(_radical_member(f, basis, order, budget) for f in fs)
 
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
-from .polyring import ParseError, Polynomial, VarContext
+from .polyring import ParseError, Polynomial
 from .problemfile import ProblemDoc, Settings, parse_problem
-from .solve import (ENV_SOLVER, SolveOutcome, SolveRequest, discover_solver,
-                    emit_smtlib, classify_finiteness, solve)
+from .solve import (ENV_SOLVER, SolveRequest, discover_solver, emit_smtlib,
+                    classify_finiteness, solve)
 from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
-                        LoopTemplate, SynthesisSystem, check_invariants,
-                        generate_loops, instantiate, simulate)
+                        LoopTemplate, check_invariants, generate_loops,
+                        instantiate, simulate)
 
 
 @dataclass

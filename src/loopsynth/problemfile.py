@@ -23,9 +23,7 @@ the grammar documented in the polynomial module; errors carry line:col.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Sequence
+from dataclasses import dataclass, field
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)

@@ -9,18 +9,31 @@ along the loop.
 
 The machinery underneath is the invariant-set computation: the largest
 subset of an algebraic set X that a polynomial map never leaves.  Starting
-from the defining polynomials of X, keep composing with the map and adding
-the batch until the new batch lands in the radical of the accumulated
-ideal; the accumulated polynomials then cut out the invariant set.
+from the defining polynomials S_0 = g of X, round k+1 composes the last
+batch with the map and stops once the new batch lands in the radical of
+<S_k>; otherwise S_{k+1} is S_k plus the batch.  The final S cuts out the
+invariant set.
 
 The guard enters as a factor: round k+1 holds h * (q o F) for each q of
 round k, so a state where h vanishes imposes nothing further.  This gives
 the paper's result without its flag variable z, which stabilizes V(z*g)
 under (F(x), y, z*h(x)) and binds z = 1 at the end: every polynomial there
 is z times one of these, V(z*U) = V(z) u V(U), and z = 1 at the start lies
-off V(z).  For synthesis the map is augmented with the coefficient block
-(mapped identically), and afterwards x is bound to a, leaving constraints
-on y alone.  check_invariants runs the same loop on the concrete map,
+off V(z).
+
+The search composes remainders, not the batch itself.  Composition is a
+ring map, so h * (<S_k> o F) lies in <S_{k+1}>; for r = NF(q) modulo a
+basis of <S_k>, h*(q o F) - h*(r o F) = h*((q - r) o F) lies in <S_{k+1}>
+too.  So a working set W that starts as g and gains each round's nonzero
+remainders has <W> = <S> in every round, the reduced basis is the same,
+and every membership test sees the same remainders: the rounds and every
+verdict are those of the paper's loop.  The paper's S is rebuilt from g,
+F, h and the round count only where it is returned, and the stabilizing
+round's raw batch is never built.
+
+For synthesis the map is augmented with the coefficient block (mapped
+identically), and afterwards x is bound to a, leaving constraints on y
+alone.  check_invariants runs the same loop on the concrete map,
 evaluating each round along the orbit of the start point.
 """
 
@@ -30,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
 from .groebner import all_in_radical
 from .polyring import (DEGREVLEX, MonomialOrder, Polynomial, VarContext,
@@ -165,25 +179,30 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     g = list(g)
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
-    polys, _ = _invariant_set(g, F, Polynomial.one(g[0].context), order,
-                              max_rounds, budget)
-    return polys
+    h = Polynomial.one(g[0].context)
+    return _generators(g, F, h, _invariant_set(g, F, h, order, max_rounds, budget))
 
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
                    h: Polynomial, order: MonomialOrder, max_rounds: int,
-                   budget: Budget | None,
-                   start: dict | None = None) -> tuple[list[Polynomial], int] | None:
-    # Invariant set of V(g) under F for the loop guarded by h.  With a start
-    # point, each round also advances its orbit one state and w, the product
-    # of the guard values at the states passed.  The round-k batch is g o F^k
-    # times h o F^j for j < k, whose value at the start is w * g at state k: a
-    # nonzero value refutes (None) with no basis computation, and once the
-    # batch lands in the radical the zero values put the start in V(S).
+                   budget: Budget | None, start: dict | None = None) -> int | None:
+    """Round count of the invariant-set loop of V(g) under F guarded by h,
+    or None when the start point is refuted.
+
+    The loop runs on the working set W of the module docstring: each round
+    computes one basis of <W> = <S>, reduces each batch member once modulo
+    it, and tests the nonzero remainders for radical membership; the next
+    batch composes those remainders.  With a start point, each round also
+    advances its orbit one state and w, the product of the guard values at
+    the states passed.  The paper's round-k batch is g o F^k times h o F^j
+    for j < k, whose value at the start is w * g at state k: a nonzero
+    value refutes (None) with no basis computation, and once the batch
+    lands in the radical the zero values put the start in V(S).
+    """
     if start is not None and any(p.evaluate(start) != 0 for p in g):
         return None
     w = 1
-    S = list(g)
+    W = list(g)
     batch = [h * p.compose(F) for p in g]
     rounds = 0
     while True:
@@ -198,10 +217,22 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
             start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
             if any(w * p.evaluate(start) != 0 for p in g):
                 return None
-        if all_in_radical(batch, S, order, budget):
-            return S, rounds
-        S.extend(batch)
+        basis = groebner.buchberger(W, order, budget)
+        rems = [r for r in (basis.normal_form(p, budget) for p in batch) if r]
+        if all_in_radical(rems, basis, order, budget):
+            return rounds
+        W.extend(rems)
+        batch = [h * r.compose(F) for r in rems]
+
+
+def _generators(g: Sequence[Polynomial], F: Sequence[Polynomial],
+                h: Polynomial, rounds: int) -> list[Polynomial]:
+    # the paper's S after `rounds` rounds: g and the batches of all but the last
+    S, batch = list(g), list(g)
+    for _ in range(rounds - 1):
         batch = [h * p.compose(F) for p in batch]
+        S.extend(batch)
+    return S
 
 
 def build_augmented_map(template: LoopTemplate) -> tuple[list[Polynomial], VarContext]:
@@ -235,8 +266,9 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
         raise ValueError("invariants must live in the template context")
     maps, ctx = build_augmented_map(template)
     gs = [g.extend_context(ctx) for g in invariants.polys]
-    S, rounds = _invariant_set(gs, maps, template.guard.extend_context(ctx),
-                               order, max_rounds, budget)
+    h = template.guard.extend_context(ctx)
+    rounds = _invariant_set(gs, maps, h, order, max_rounds, budget)
+    S = _generators(gs, maps, h, rounds)
     bindings = dict(zip(ctx.x_names, template.init))
     polys = []
     for q in S:

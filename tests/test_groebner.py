@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import (Budget, BudgetExceeded, Polynomial, VarContext,
-                       all_in_radical, buchberger, divide, in_ideal,
+                       all_in_radical, buchberger, divide, groebner, in_ideal,
                        in_radical, is_zero_dimensional, normal_form,
                        parse_polynomial, s_polynomial, DEGREVLEX, LEX)
 
@@ -138,6 +138,29 @@ class TestRadical:
         S = [P("x*y"), P("x*z")]
         assert all_in_radical([P("x^2*y"), P("x^2*z^3")], S)
         assert not all_in_radical([P("x^2*y"), P("y*z")], S)
+
+    def test_all_in_radical_reuses_a_given_basis(self, monkeypatch):
+        cases = [([P("x^2*y"), P("x^2*z^3")], [P("x*y"), P("x*z")]),
+                 ([P("x^2*y"), P("y*z")], [P("x*y"), P("x*z")]),
+                 ([P("x + y")], [P("(x + y)^4 + z"), P("z")]),
+                 ([P("y")], [P("x")]),
+                 ([P("1")], [P("x*y - 1")])]
+        bases = [buchberger(S) for _, S in cases]
+        want = [all_in_radical(fs, list(basis)) for (fs, _), basis in zip(cases, bases)]
+        assert want == [True, False, True, False, False]
+        runs = []
+        original = groebner.buchberger
+
+        def counting(gens, *args, **kwargs):
+            runs.append(gens[0].context.t_name)
+            return original(gens, *args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        for (fs, _), basis, expected in zip(cases, bases, want):
+            assert all_in_radical(fs, basis) == expected
+        # no basis of S is computed again; each Rabinowitsch run still is,
+        # one per case past the first, whose members reduce to zero
+        assert runs == ["t"] * 4
 
     def test_flag_variable_strip_agrees_with_direct(self):
         # radical membership of w*f in <w*g_i> equals membership of f in

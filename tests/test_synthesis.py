@@ -1,12 +1,16 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopsynth import (Budget, BudgetExceeded, ConcreteLoop, InvariantSpec,
-                       LoopTemplate, Polynomial, VarContext,
-                       build_augmented_map, check_invariants, generate_loops,
-                       instantiate, invariant_set, parse_polynomial,
-                       parse_problem, simulate)
+from loopsynth import (DEGREVLEX, Budget, BudgetExceeded, ConcreteLoop,
+                       InvariantSpec, LoopTemplate, Polynomial, VarContext,
+                       all_in_radical, buchberger, build_augmented_map,
+                       check_invariants, generate_loops, instantiate,
+                       invariant_set, parse_polynomial, parse_problem,
+                       simulate, synthesis)
+from loopsynth.synthesis import DEFAULT_MAX_ROUNDS
 
 X2 = VarContext(("x1", "x2"))
 
@@ -219,3 +223,105 @@ class TestSimulateAndCheck:
         with pytest.raises(BudgetExceeded):
             check_invariants(known_root_loop, cubic_invariants,
                              budget=Budget(max_steps=1))
+
+
+# ---------------------------------------------------------------------------
+# The search composes remainders; these tests hold it to the loop that
+# composes the raw batch and rebuilds nothing.
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+GUARDED_COUNTER = ("vars x1 x2\ninit 3 0\nguard x1\ninvariant x1 + x2 - 3\n"
+                   "gen x1: x1, 1\ngen x2: x2, 1\n")
+
+
+def _unreduced_loop(g, F, h, start=None, max_rounds=DEFAULT_MAX_ROUNDS):
+    """(S, rounds) of the paper's loop as written: compose the raw batch and
+    test it against the radical of S; None when the start is refuted."""
+    if start is not None and any(p.evaluate(start) != 0 for p in g):
+        return None
+    w = 1
+    S = list(g)
+    batch = [h * p.compose(F) for p in g]
+    for rounds in range(1, max_rounds + 1):
+        if start is not None:
+            w *= h.evaluate(start)
+            start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
+            if any(w * p.evaluate(start) != 0 for p in g):
+                return None
+        if all_in_radical(batch, S):
+            return S, rounds
+        S.extend(batch)
+        batch = [h * p.compose(F) for p in batch]
+    raise BudgetExceeded("round cap")
+
+
+def _template(name):
+    if name == "guarded_counter":
+        return parse_problem(GUARDED_COUNTER)
+    return parse_problem((BENCHMARKS / f"{name}.loop").read_text())
+
+
+class TestReducedLoopAgrees:
+    @pytest.mark.parametrize("name", ["hyperbola", "intro_cubic", "guarded_counter"])
+    def test_generate_loops_and_invariant_set(self, name):
+        doc = _template(name)
+        maps, ctx = build_augmented_map(doc.template)
+        gs = [g.extend_context(ctx) for g in doc.invariants.polys]
+        h, one = doc.template.guard.extend_context(ctx), Polynomial.one(ctx)
+        S, rounds = _unreduced_loop(gs, maps, h)
+        system = generate_loops(doc.template, doc.invariants)
+        bindings = dict(zip(ctx.x_names, doc.template.init))
+        want = [p.primitive_part() for p in (q.substitute(bindings) for q in S) if p]
+        assert (system.q_count, system.rounds) == (len(S), rounds)
+        assert list(system.polys) == want
+        unguarded = S if h == one else _unreduced_loop(gs, maps, one)[0]
+        assert invariant_set(gs, maps) == unguarded
+
+    def test_check_invariants(self):
+        cubic = _template("intro_cubic")
+        points = [(-3, 3, 1, -1, 0)]
+        for i in range(5):
+            for step in (-1, 1):
+                p = list(points[0])
+                p[i] += step
+                points.append(tuple(p))
+        counter = _template("guarded_counter")
+        cases = [(instantiate(cubic.template, p), cubic.invariants) for p in points]
+        cases += [(instantiate(counter.template, p), counter.invariants)
+                  for p in [(1, -1, 1, 1), (1, -1, 0, 1), (1, 0, 1, 1), (0, 0, 0, 0)]]
+        for path in sorted(BENCHMARKS.glob("*.loop")):
+            doc = parse_problem(path.read_text())
+            if doc.is_concrete:
+                cases.append((doc.loop, doc.invariants))
+        assert len(cases) == 19
+        verdicts = set()
+        for loop, inv in cases:
+            start = dict(zip(loop.context.names, loop.init))
+            want = _unreduced_loop(inv.polys, loop.update, loop.guard, start)
+            rounds = synthesis._invariant_set(inv.polys, loop.update, loop.guard,
+                                              DEGREVLEX, DEFAULT_MAX_ROUNDS, None, start)
+            assert check_invariants(loop, inv) == (want is not None)
+            if want is not None:
+                assert rounds == want[1]
+                assert synthesis._generators(inv.polys, loop.update, loop.guard,
+                                             rounds) == want[0]
+            verdicts.add(want is not None)
+        assert verdicts == {True, False}
+
+
+_SMALL = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SMALL, st.lists(_SMALL, min_size=1, max_size=2),
+       st.lists(_SMALL, min_size=2, max_size=2), _SMALL)
+def test_batch_congruence_under_composition(q, S, F, h):
+    # the lemma behind composing remainders: q - NF(q) lies in <S>, so
+    # h*(q o F) and h*(NF(q) o F) agree modulo <S, h*(S o F)>
+    q, h = Polynomial(X2, q), Polynomial(X2, h)
+    S = [Polynomial(X2, p) for p in S]
+    F = [Polynomial(X2, p) for p in F]
+    r = buchberger(S).normal_form(q)
+    nxt = buchberger(S + [h * p.compose(F) for p in S])
+    assert nxt.normal_form(h * q.compose(F)) == nxt.normal_form(h * r.compose(F))
