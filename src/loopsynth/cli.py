@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .polyring import ParseError
 from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
-from .problemfile import parse_problem
+from .problemfile import Settings, _resolve, parse_problem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,15 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", choices=["integers", "rationals"],
-                   help="solution domain (default from file, else integers)")
-    p.add_argument("--nonzero", help="nonzero policy: vector, none, or a "
-                   "coefficient name")
-    p.add_argument("--solver", help="solver command; {file} marks where the "
-                   "script path goes (overrides LOOPSYNTH_SOLVER)")
-    p.add_argument("--solve-budget", type=float, dest="solve_budget",
-                   metavar="SECONDS", help="external solver time limit")
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
+def _add_settings_flags(p: argparse.ArgumentParser, *, solver: bool) -> None:
+    # each dest is a Settings field, which checks the value
+    if solver:
+        p.add_argument("--domain", help="solution domain: integers or rationals "
+                       "(default from file, else integers)")
+        p.add_argument("--nonzero", help="nonzero policy: vector, none, or a "
+                       "coefficient name")
+        p.add_argument("--solver", help="solver command; {file} marks where the "
+                       "script path goes (overrides LOOPSYNTH_SOLVER)")
+        p.add_argument("--solve-budget", type=float, dest="solve_budget",
+                       metavar="SECONDS", help="external solver time limit")
     p.add_argument("--synth-budget", type=float, dest="synth_budget",
                    metavar="SECONDS", help="synthesis/verification time limit")
     p.add_argument("--rounds", type=int, dest="max_rounds", metavar="N",
@@ -62,14 +72,14 @@ def build_parser() -> _Parser:
                          help="also write the SMT-LIB 2 script to PATH")
     p_synth.add_argument("--json", action="store_true",
                          help="print the full report as JSON")
-    _add_shared(p_synth)
+    _add_settings_flags(p_synth, solver=True)
 
     p_check = sub.add_parser("check", help="verify a concrete loop")
     p_check.add_argument("file")
-    p_check.add_argument("--steps", type=int, default=SIMULATION_STEPS,
+    p_check.add_argument("--steps", type=_positive_int, default=SIMULATION_STEPS,
                          help="simulation length (default %(default)s)")
     p_check.add_argument("--json", action="store_true")
-    _add_shared(p_check)
+    _add_settings_flags(p_check, solver=False)
 
     p_bench = sub.add_parser("bench", help="run problem files, print a table")
     p_bench.add_argument("paths", nargs="+",
@@ -79,28 +89,36 @@ def build_parser() -> _Parser:
                          "(degree, coefficient count) grid")
     p_bench.add_argument("--csv", metavar="PATH",
                          help="also write the rows as CSV")
-    _add_shared(p_bench)
+    _add_settings_flags(p_bench, solver=True)
     return parser
 
 
-def _load(path: str):
+def _overrides(args) -> dict:
+    """The Settings fields set by this verb's flags, checked by Settings
+    as far as they do not depend on the problem."""
+    names = {f.name for f in fields(Settings)}
+    kept = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    try:
+        Settings(**kept)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return kept
+
+
+def _load(path: str, overrides: dict):
+    """The problem in path under the flag overrides, or a usage error."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(str(exc))
-    import os
     name = os.path.splitext(os.path.basename(path))[0]
     try:
-        return parse_problem(text, name=name)
+        return _resolve(parse_problem(text, name=name), **overrides)
     except ParseError as exc:
         raise UsageError(f"{path}:{exc}")
-
-
-def _shared_overrides(args) -> dict:
-    return {"domain": args.domain, "nonzero": args.nonzero,
-            "solver": args.solver, "solve_budget": args.solve_budget,
-            "synth_budget": args.synth_budget, "max_rounds": args.max_rounds}
+    except ValueError as exc:  # e.g. a nonzero flag that the template lacks
+        raise UsageError(str(exc))
 
 
 def _print_synth(report: RunReport) -> None:
@@ -160,42 +178,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "synth":
-            doc = _load(args.file)
-            report = run_pipeline(doc, emit_smt=args.emit_smt,
-                                  **_shared_overrides(args))
-            if args.json:
-                print(json.dumps(report.to_dict(), indent=2))
+        overrides = _overrides(args)
+        if args.command in ("synth", "check"):
+            doc = _load(args.file, overrides)
+            if args.command == "synth":
+                report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
+            elif doc.is_concrete:
+                report, show = run_check(doc, steps=args.steps), _print_check
             else:
-                _print_synth(report)
-            return _exit_code(report)
-        if args.command == "check":
-            doc = _load(args.file)
-            if not doc.is_concrete:
                 raise UsageError(f"{args.file}: check needs update lines, "
                                  "this file has gen lines (use synth)")
-            report = run_check(doc, steps=args.steps,
-                               synth_budget=args.synth_budget,
-                               max_rounds=args.max_rounds)
             if args.json:
                 print(json.dumps(report.to_dict(), indent=2))
             else:
-                _print_check(report)
+                show(report)
             return _exit_code(report)
         if args.command == "bench":
             grid = _parse_grid(args.grid) if args.grid else None
-            reports = run_benchmarks(args.paths, grid=grid,
-                                     **_shared_overrides(args))
+            reports = run_benchmarks(args.paths, grid=grid, **overrides)
             text = render_table(reports)
             print(text, end="")
             if args.csv:
                 with open(args.csv, "w") as fh:
                     fh.write(render_csv(reports))
-            if any(r.status == "error" for r in reports):
-                return EXIT_INTERNAL
-            if any(r.status == "TL" for r in reports):
-                return EXIT_BUDGET
-            return EXIT_OK
+            return max(map(_exit_code, reports), default=EXIT_OK)  # error over TL
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"loopsynth: error: {exc}", file=sys.stderr)

@@ -220,9 +220,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
         push_pairs(j)
 
     while pq:
-        _, i, j = heapq.heappop(pq)
-        if (i, j) not in pending:
-            continue
+        _, i, j = heapq.heappop(pq)  # each pair is pushed once
         pending.discard((i, j))
         if budget is not None:
             budget.tick()
@@ -253,17 +251,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     basis = [G[i] for i in kept]
     reds = [reds[i] for i in kept]
 
-    # interreduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
-                            reds[:idx] + reds[idx + 1:]).primitive_part(order)
-            if r != basis[idx]:
-                basis[idx] = r
-                reds[idx] = _reducer(r, order)
-                changed = True
+    # interreduce tails: no leading monomial of a minimal basis is
+    # reducible, so they never change, and one pass leaves no tail term
+    # that any of them divides
+    for idx in range(len(basis)):
+        r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
+                        reds[:idx] + reds[idx + 1:]).primitive_part(order)
+        basis[idx], reds[idx] = r, _reducer(r, order)
 
     basis = [b.monic(order) for b in basis]
     basis.sort(key=lambda b: key(b.leading_monomial(order)))

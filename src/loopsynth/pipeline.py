@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
 from .polyring import ParseError, Polynomial
-from .problemfile import ProblemDoc, Settings, parse_problem
-from .solve import (ENV_SOLVER, SolveRequest, discover_solver, emit_smtlib,
+from .problemfile import ProblemDoc, _resolve, parse_problem
+from .solve import (SolveRequest, discover_solver, emit_smtlib,
                     classify_finiteness, solve)
 from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
                         LoopTemplate, check_invariants, generate_loops,
@@ -64,29 +64,16 @@ CSV_FIELDS = ["name", "mode", "status", "n", "m", "l", "d", "s", "q_count",
               "solver_status", "verified", "error"]
 
 
-def _resolve(settings: Settings, **overrides) -> Settings:
-    kept = {k: v for k, v in overrides.items() if v is not None}
-    return Settings(**{**settings.__dict__, **kept}) if kept else settings
-
-
-def _solver_command(settings: Settings) -> list[str] | None:
-    return discover_solver({ENV_SOLVER: settings.solver} if settings.solver else None)
-
-
 def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
-                 domain: str | None = None, nonzero: str | None = None,
-                 solver: str | None = None, solve_budget: float | None = None,
-                 synth_budget: float | None = None,
-                 max_rounds: int | None = None) -> RunReport:
+                 **overrides) -> RunReport:
     """Synthesis pipeline for one problem; check-form docs are delegated to
-    run_check.  Keyword arguments override the file's option lines."""
-    settings = _resolve(doc.settings, domain=domain, nonzero=nonzero,
-                        solver=solver, solve_budget=solve_budget,
-                        synth_budget=synth_budget, max_rounds=max_rounds)
+    run_check.  The other keywords are Settings fields overriding the
+    file's options; a bad value raises ValueError before any work starts."""
+    doc = _resolve(doc, **overrides)
     if doc.is_concrete:
-        return run_check(doc, synth_budget=settings.synth_budget,
-                         max_rounds=settings.max_rounds)
+        return run_check(doc)
 
+    settings = doc.settings
     tpl = doc.template
     report = RunReport(doc.name, n=tpl.context.arity, m=len(doc.invariants.polys),
                        l=tpl.coeff_count,
@@ -119,7 +106,7 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
         report.smt_path = emit_smt
 
     t0 = time.perf_counter()
-    outcome = solve(request, command=_solver_command(settings))
+    outcome = solve(request, command=discover_solver(settings.solver))
     report.solve_seconds = time.perf_counter() - t0
     report.solver_status = outcome.status
     if outcome.status == "sat":
@@ -129,15 +116,12 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
     return report
 
 
-def run_check(doc: ProblemDoc, *, steps: int = SIMULATION_STEPS,
-              synth_budget: float | None = None,
-              max_rounds: int | None = None) -> RunReport:
-    """Verify a concrete loop: simulation evidence plus the exact
-    invariant-set criterion."""
+def run_check(doc: ProblemDoc, *, steps: int = SIMULATION_STEPS) -> RunReport:
+    """Verify a concrete loop under doc's settings: simulation evidence
+    plus the exact invariant-set criterion."""
     if not doc.is_concrete:
         raise ValueError("run_check needs a concrete (update-form) problem")
-    settings = _resolve(doc.settings, synth_budget=synth_budget,
-                        max_rounds=max_rounds)
+    settings = doc.settings
     loop = doc.loop
     report = RunReport(doc.name, mode="check", n=loop.context.arity,
                        m=len(doc.invariants.polys),
@@ -237,7 +221,7 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
                     cell_doc = ProblemDoc(cell_name, doc.invariants,
                                           template=grid_template(doc, *cell),
                                           settings=doc.settings)
-                report = run_pipeline(cell_doc, **overrides)
+                report = run_pipeline(_resolve(cell_doc, **overrides))
                 report.name = cell_name
             except BudgetExceeded as exc:
                 report = RunReport(cell_name, status="TL", solver_status="NI",

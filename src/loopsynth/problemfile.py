@@ -10,9 +10,9 @@
     option domain integers          integers | rationals
     option nonzero vector           vector | none | <coefficient name>
     option solver z3 {file}         external solver command template
-    option solve_budget 60          seconds
-    option synth_budget 300         seconds
-    option rounds 32                invariant-set round cap
+    option solve_budget 60          seconds, finite and > 0
+    option synth_budget 300         seconds, finite and > 0
+    option rounds 32                invariant-set round cap, an integer >= 1
 
 A file uses either gen lines (every variable needs at least one) or
 update lines (exactly one per variable), never both.  Repeated gen lines
@@ -23,7 +23,7 @@ the grammar documented in the polynomial module; errors carry line:col.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
@@ -35,12 +35,34 @@ DEFAULT_SYNTH_BUDGET = 300.0
 
 @dataclass(frozen=True)
 class Settings:
+    """The run options.  Option lines, flags and keyword overrides all
+    become a Settings, whose check raises ValueError naming the option."""
+
     domain: str = "integers"
     nonzero: str = "vector"
     solver: str | None = None
     solve_budget: float = DEFAULT_SOLVE_SECONDS
     synth_budget: float = DEFAULT_SYNTH_BUDGET
     max_rounds: int = DEFAULT_MAX_ROUNDS
+
+    def __post_init__(self):
+        if self.domain not in ("integers", "rationals"):
+            raise ValueError(f"domain must be integers or rationals, not {self.domain!r}")
+        if not (isinstance(self.nonzero, str) and self.nonzero.isidentifier()):
+            raise ValueError("nonzero must be vector, none or a coefficient name, "
+                             f"not {self.nonzero!r}")
+        for key in ("solve_budget", "synth_budget"):
+            seconds = getattr(self, key)
+            if type(seconds) not in (int, float) or not 0 < seconds < float("inf"):
+                raise ValueError(f"{key} must be finite seconds > 0, not {seconds!r}")
+        if type(self.max_rounds) is not int or self.max_rounds < 1:
+            raise ValueError(f"rounds must be an integer >= 1, not {self.max_rounds!r}")
+
+
+# option key -> (Settings field, type of its value)
+_OPTIONS = {"domain": ("domain", str), "nonzero": ("nonzero", str),
+            "solver": ("solver", str), "solve_budget": ("solve_budget", float),
+            "synth_budget": ("synth_budget", float), "rounds": ("max_rounds", int)}
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,34 @@ def _fail(msg: str, line: int, col: int = 1):
     raise ParseError(msg, line, col)
 
 
+def _typed(kind: type, text: str):
+    # text that does not convert stays text, for Settings to reject by name
+    try:
+        return kind(text)
+    except ValueError:
+        return text
+
+
+def _check_nonzero(nonzero: str, template: LoopTemplate | None) -> None:
+    """Raise ValueError unless the nonzero policy fits the problem: vector
+    and none always do, a coefficient name only a template that has it."""
+    names = () if template is None else template.coefficient_names
+    if nonzero not in ("vector", "none", *names):
+        have = f"have {', '.join(names)}" if names else "a check-form problem has none"
+        raise ValueError(f"nonzero option {nonzero!r} is not a template coefficient ({have})")
+
+
+def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
+    """doc with the overrides that are not None applied to its settings.
+    Settings checks every value and a template the nonzero policy, so a
+    bad override raises ValueError before any work starts."""
+    kept = {k: v for k, v in overrides.items() if v is not None}
+    settings = replace(doc.settings, **kept) if kept else doc.settings
+    if not doc.is_concrete:
+        _check_nonzero(settings.nonzero, doc.template)
+    return replace(doc, settings=settings)
+
+
 def _reparse(text: str, ctx: VarContext, line: int, col: int) -> Polynomial:
     try:
         return parse_polynomial(text, ctx)
@@ -77,7 +127,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     invariants: list[Polynomial] = []
     gens: dict[str, list[Polynomial]] = {}
     updates: dict[str, Polynomial] = {}
-    opts: dict = {}
+    settings = Settings()
     nonzero_pos = (1, 1)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -151,29 +201,15 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             val = parts[1].strip() if len(parts) > 1 else ""
             if not val:
                 _fail(f"option {key} needs a value", lineno, rest_col)
-            if key == "domain":
-                if val not in ("integers", "rationals"):
-                    _fail("domain must be integers or rationals", lineno, rest_col)
-                opts["domain"] = val
-            elif key == "nonzero":
-                opts["nonzero"] = val
-                nonzero_pos = (lineno, rest_col)
-            elif key == "solver":
-                opts["solver"] = val
-            elif key in ("solve_budget", "synth_budget"):
-                try:
-                    seconds = float(val)
-                except ValueError:
-                    _fail(f"{key} needs a number of seconds", lineno, rest_col)
-                if seconds <= 0:
-                    _fail(f"{key} must be positive", lineno, rest_col)
-                opts[key] = seconds
-            elif key == "rounds":
-                if not val.isdigit() or int(val) < 1:
-                    _fail("rounds needs a positive integer", lineno, rest_col)
-                opts["max_rounds"] = int(val)
-            else:
+            if key not in _OPTIONS:
                 _fail(f"unknown option {key!r}", lineno, rest_col)
+            attr, kind = _OPTIONS[key]
+            try:
+                settings = replace(settings, **{attr: _typed(kind, val)})
+            except ValueError as exc:
+                _fail(str(exc), lineno, rest_col)
+            if key == "nonzero":
+                nonzero_pos = (lineno, rest_col)
         else:
             _fail(f"unknown directive {word!r}", lineno, word_col)
 
@@ -193,26 +229,20 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
         guard = guard * g
     spec = InvariantSpec(tuple(invariants))
 
-    pol = opts.get("nonzero", "vector")
+    missing = [n for n in ctx.names if n not in (gens or updates)]
+    if missing:
+        _fail(f"no {'generators' if gens else 'update'} for {', '.join(missing)}", 1)
+    template = loop = None
     if gens:
-        missing = [n for n in ctx.names if n not in gens]
-        if missing:
-            _fail(f"no generators for {', '.join(missing)}", 1)
         template = LoopTemplate(ctx, init, guard,
                                 tuple(tuple(gens[n]) for n in ctx.names))
-        if pol not in ("vector", "none") and pol not in template.coefficient_names:
-            _fail(f"nonzero option {pol!r} is not a template coefficient "
-                  f"(have {', '.join(template.coefficient_names)})", *nonzero_pos)
-        return ProblemDoc(name, spec, template=template,
-                          settings=Settings(**opts))
-    if pol not in ("vector", "none"):
-        _fail(f"nonzero option {pol!r} needs a synthesis-form problem",
-              *nonzero_pos)
-    missing = [n for n in ctx.names if n not in updates]
-    if missing:
-        _fail(f"no update for {', '.join(missing)}", 1)
-    loop = ConcreteLoop(ctx, init, guard, tuple(updates[n] for n in ctx.names))
-    return ProblemDoc(name, spec, loop=loop, settings=Settings(**opts))
+    else:
+        loop = ConcreteLoop(ctx, init, guard, tuple(updates[n] for n in ctx.names))
+    try:
+        _check_nonzero(settings.nonzero, template)
+    except ValueError as exc:
+        _fail(str(exc), *nonzero_pos)
+    return ProblemDoc(name, spec, template=template, loop=loop, settings=settings)
 
 
 def format_problem(doc: ProblemDoc) -> str:
@@ -230,18 +260,9 @@ def format_problem(doc: ProblemDoc) -> str:
     else:
         for n, u in zip(ctx.names, doc.loop.update):
             lines.append(f"update {n}: {u}")
-    s = doc.settings
     defaults = Settings()
-    if s.domain != defaults.domain:
-        lines.append(f"option domain {s.domain}")
-    if s.nonzero != defaults.nonzero:
-        lines.append(f"option nonzero {s.nonzero}")
-    if s.solver is not None:
-        lines.append(f"option solver {s.solver}")
-    if s.solve_budget != defaults.solve_budget:
-        lines.append(f"option solve_budget {s.solve_budget:g}")
-    if s.synth_budget != defaults.synth_budget:
-        lines.append(f"option synth_budget {s.synth_budget:g}")
-    if s.max_rounds != defaults.max_rounds:
-        lines.append(f"option rounds {s.max_rounds}")
+    for key, (attr, _) in _OPTIONS.items():
+        value = getattr(doc.settings, attr)
+        if value != getattr(defaults, attr):
+            lines.append(f"option {key} {value}")
     return "\n".join(lines) + "\n"

@@ -261,41 +261,36 @@ def verify_assignment(request: SolveRequest,
 # External solver driver.
 
 
-def discover_solver(env: Mapping[str, str] | None = None) -> list[str] | None:
-    """argv template for a usable solver, or None.  LOOPSYNTH_SOLVER is a
-    shell-style command where {file} marks the script path (appended when
-    absent); otherwise z3/cvc5 on PATH are tried."""
-    env = os.environ if env is None else env
-    configured = env.get(ENV_SOLVER)
-    if configured:
-        argv = shlex.split(configured)
-        if argv:
-            return argv if "{file}" in argv else argv + ["{file}"]
-    for name in ("z3", "cvc5"):
-        path = shutil.which(name)
-        if path:
-            return [path, "{file}"]
-    return None
+def discover_solver(configured: str | None = None) -> list[str] | None:
+    """argv template for a usable solver, or None.  The configured command
+    (a --solver flag or an option solver line), else LOOPSYNTH_SOLVER, is
+    a shell-style command where {file} marks the script path (appended
+    when absent); otherwise z3/cvc5 on PATH are tried."""
+    argv = shlex.split(configured or os.environ.get(ENV_SOLVER, ""))
+    if argv:
+        return argv if "{file}" in argv else argv + ["{file}"]
+    path = shutil.which("z3") or shutil.which("cvc5")
+    return [path, "{file}"] if path else None
 
 
-def run_external_solver(script: str, budget_seconds: float = DEFAULT_SOLVE_SECONDS,
-                        command: Sequence[str] | None = None,
-                        request: SolveRequest | None = None) -> SolveOutcome:
+def run_external_solver(script: str, budget_seconds: float,
+                        command: Sequence[str] | None,
+                        request: SolveRequest) -> SolveOutcome:
     """Feed the script to an external SMT solver and interpret its stdout.
 
     The status is read from the output stream, never from the exit code.
-    A timeout maps to unknown.  When a request is supplied, sat models are
-    re-verified exactly and a failing model raises SolverOutputError.
+    No command means no solver was found.  A timeout maps to unknown.  A
+    sat model is re-verified exactly against the request, and a failing
+    model raises SolverOutputError.
     """
-    argv_template = list(command) if command is not None else discover_solver()
-    if not argv_template:
+    if not command:
         return SolveOutcome("solver-unavailable",
                             diagnostics="no solver configured and none on PATH")
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
         fh.write(script)
         path = fh.name
     try:
-        argv = [a.replace("{file}", path) for a in argv_template]
+        argv = [a.replace("{file}", path) for a in command]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   timeout=budget_seconds)
@@ -319,20 +314,19 @@ def run_external_solver(script: str, budget_seconds: float = DEFAULT_SOLVE_SECON
                 f"no sat/unsat/unknown in solver output: {transcript[:500]!r}")
         if status != "sat":
             return SolveOutcome(status, diagnostics=transcript)
-        assignment = None
-        if request is not None:
-            names = request.system.context.names
-            assignment = _model_assignment(parse_sexprs("\n".join(rest_lines)), names)
-            if not verify_assignment(request, assignment):
-                raise SolverOutputError(
-                    f"solver model failed exact re-verification: {assignment}")
+        names = request.system.context.names
+        assignment = _model_assignment(parse_sexprs("\n".join(rest_lines)), names)
+        if not verify_assignment(request, assignment):
+            raise SolverOutputError(
+                f"solver model failed exact re-verification: {assignment}")
         return SolveOutcome("sat", assignment=assignment, diagnostics=transcript)
     finally:
         os.unlink(path)
 
 
 def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveOutcome:
-    """End-to-end: emit the script, run the solver, verify the model.
+    """End-to-end: emit the script, run the solver command (None: no
+    solver, see discover_solver), verify the model.
 
     An empty system is satisfied by every vector, so a policy-conforming
     assignment is returned directly without invoking any solver.
