@@ -160,9 +160,12 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
         piece = piece.strip()
         try:
             d_str, l_str = piece.split(":")
-            cells.append((int(d_str), int(l_str)))
+            cell = (int(d_str), int(l_str))
         except ValueError:
             raise UsageError(f"bad grid cell {piece!r}; expected D:L")
+        if min(cell) < 1:
+            raise UsageError(f"bad grid cell {piece!r}; D and L must be >= 1")
+        cells.append(cell)
     return cells
 
 

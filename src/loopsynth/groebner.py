@@ -78,9 +78,6 @@ class GroebnerBasis:
             object.__setattr__(self, "_reducers", [_reducer(g, self.order) for g in self])
         return normal_form(f, self.generators, self.order, budget, self._reducers)
 
-    def __contains__(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero
-
     def __iter__(self):
         return iter(self.generators)
 

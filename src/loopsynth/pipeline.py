@@ -137,8 +137,8 @@ def _verify(report: RunReport, loop: ConcreteLoop, invariants: InvariantSpec,
             steps: int, max_rounds: int, budget: Budget) -> None:
     """Simulation evidence plus the exact invariant-set criterion, into
     report.verified; running out of budget is status TL and no verdict."""
-    ok_sim = simulate(loop, invariants, steps)
     try:
+        ok_sim = simulate(loop, invariants, steps, budget=budget)
         ok_exact = check_invariants(loop, invariants, max_rounds=max_rounds,
                                     budget=budget)
     except BudgetExceeded as exc:
@@ -223,9 +223,6 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
                                           settings=doc.settings)
                 report = run_pipeline(_resolve(cell_doc, **overrides))
                 report.name = cell_name
-            except BudgetExceeded as exc:
-                report = RunReport(cell_name, status="TL", solver_status="NI",
-                                   error=str(exc))
             except Exception as exc:  # isolate rows from each other
                 report = RunReport(cell_name, status="error", error=str(exc))
             reports.append(report)

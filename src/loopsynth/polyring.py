@@ -1,12 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`; plain
-ints are accepted everywhere and kept as ints internally for speed, floats
-are rejected).  A VarContext fixes an ordered variable universe split into
-blocks: program variables first, then coefficient variables, then an
-optional auxiliary variable, which always sits last.  Monomials are dense
-exponent tuples indexed by that order, and polynomials are immutable dicts
-from exponent tuple to nonzero coefficient.
+Every rational, coefficient or value, is kept in one form: an int when it
+is integral and a `fractions.Fraction` otherwise.  as_rational is the one
+coercion to that form; floats are rejected.  A VarContext fixes an ordered
+variable universe split into blocks: program variables first, then
+coefficient variables, then an optional auxiliary variable, which always
+sits last.  Monomials are dense exponent tuples indexed by that order,
+and polynomials are immutable dicts from exponent tuple to nonzero
+coefficient.
 
 The text format read by parse_polynomial and produced by str()/
 format_polynomial is:
@@ -29,7 +30,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
-Coeff = Union[int, Fraction]
+Coeff = Union[int, Fraction]  # the one rational form, as_rational's
 
 
 class ContextMismatchError(ValueError):
@@ -46,38 +47,29 @@ class ParseError(ValueError):
         self.col = col
 
 
-def as_rational(value) -> Fraction:
-    """Coerce int, Fraction, or a string like '-3/4' to Fraction.
+def as_rational(value) -> Coeff:
+    """Coerce int, Fraction, or a string like '-3/4' to the one rational
+    form: int when integral, Fraction otherwise.
 
     Floats are rejected on purpose: this package is exact end to end.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
-    raise TypeError(f"not a rational: {value!r} (floats are rejected; use Fraction)")
-
-
-def _coeff(value) -> Coeff:
-    # Internal coefficient normal form: int when integral, Fraction otherwise.
-    if isinstance(value, bool):
-        raise TypeError("bool is not a coefficient")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"bad coefficient {value!r} (floats are rejected; use Fraction)")
+    if isinstance(value, str):
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return as_rational(value)
+    raise TypeError(f"not a rational: {value!r} (floats are rejected; use Fraction)")
 
 
 def _int_when_integral(terms: dict, a: Iterable, b: Iterable) -> dict:
-    # terms, made from the coefficients a and b, in _coeff's normal form.
+    # terms, made from the coefficients a and b, in as_rational's form.
     # Ints alone only make ints, so the terms are rescanned only when a
     # Fraction took part.
     if Fraction in map(type, a) or Fraction in map(type, b):
@@ -206,7 +198,7 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {expo} does not match arity {arity}")
             if any((not isinstance(e, int)) or e < 0 for e in expo):
                 raise ValueError(f"exponents must be nonnegative ints: {expo}")
-            c = _coeff(c)
+            c = as_rational(c)
             if c:
                 prev = clean.get(expo)
                 if prev is None:
@@ -236,7 +228,7 @@ class Polynomial:
 
     @staticmethod
     def constant(context: VarContext, c) -> "Polynomial":
-        return Polynomial(context, {(0,) * context.arity: _coeff_or_rat(c)})
+        return Polynomial(context, {(0,) * context.arity: c})
 
     @staticmethod
     def variable(context: VarContext, name: str) -> "Polynomial":
@@ -266,22 +258,9 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.context.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def uses(self, name: str) -> bool:
         i = self.context.index(name)
         return any(e[i] for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial (degree <= 0)."""
-        if self.total_degree() > 0:
-            raise ValueError(f"not a constant polynomial: {self}")
-        zero = (0,) * self.context.arity
-        return Fraction(self.terms.get(zero, 0))
 
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX, reverse: bool = True):
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=reverse)
@@ -350,7 +329,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = _coeff(other)
+            c0 = as_rational(other)
             if not c0:
                 return Polynomial.zero(self.context)
             return self._wrap(_int_when_integral(
@@ -404,14 +383,13 @@ class Polynomial:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, point: Mapping[str, object]) -> Fraction:
+    def evaluate(self, point: Mapping[str, object]) -> Coeff:
         """Exact value at a fully specified rational point."""
         vals = []
         for n in self.context.names:
             if n not in point:
                 raise KeyError(f"evaluate: no value for variable {n!r}")
-            v = point[n]
-            vals.append(v if isinstance(v, int) else as_rational(v))
+            vals.append(as_rational(point[n]))
         total = 0
         for expo, c in self.terms.items():
             term = c
@@ -419,7 +397,7 @@ class Polynomial:
                 if e:
                     term *= v ** e
             total += term
-        return Fraction(total)
+        return as_rational(total)
 
     def substitute(self, bindings: Mapping[str, object]) -> "Polynomial":
         """Bind some variables to rationals; result lives in the remaining
@@ -430,7 +408,7 @@ class Polynomial:
         vals: dict[int, Coeff] = {}
         for n, v in bindings.items():
             i = self.context.index(n)
-            vals[i] = v if isinstance(v, int) and not isinstance(v, bool) else _coeff(as_rational(v))
+            vals[i] = as_rational(v)
         keep = [i for i in range(len(names)) if i not in vals]
         new_ctx = self.context.restrict(names[i] for i in keep)
         acc: dict = {}
@@ -502,11 +480,11 @@ class Polynomial:
 
     # -- normal forms for output --------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> Coeff:
         """Positive rational content: gcd of numerators / lcm of denominators."""
         cs = self.terms.values()
-        return Fraction(gcd(*[c.numerator for c in cs]),
-                        lcm(*[c.denominator for c in cs]))
+        return as_rational(Fraction(gcd(*[c.numerator for c in cs]),
+                                    lcm(*[c.denominator for c in cs])))
 
     def primitive_part(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         """Divide by the content and fix the sign so the leading coefficient
@@ -524,8 +502,8 @@ class Polynomial:
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        inv = _coeff(1 / Fraction(self.leading_coefficient(order)))
-        return self._wrap({e: _coeff(x * inv) for e, x in self.terms.items()})
+        inv = as_rational(1 / Fraction(self.leading_coefficient(order)))
+        return self._wrap({e: as_rational(x * inv) for e, x in self.terms.items()})
 
     # -- printing ------------------------------------------------------------
 
@@ -534,12 +512,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self} over {self.context.names}>"
-
-
-def _coeff_or_rat(c) -> Coeff:
-    if isinstance(c, str):
-        return _coeff(as_rational(c))
-    return _coeff(c)
 
 
 # ---------------------------------------------------------------------------

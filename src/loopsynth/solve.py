@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .budget import Budget, BudgetExceeded
 from .groebner import buchberger, is_zero_dimensional
-from .polyring import DEGREVLEX, MonomialOrder, Polynomial, as_rational
+from .polyring import Coeff, Polynomial, as_rational
 from .synthesis import SynthesisSystem
 
 NONZERO_VECTOR = "vector"
@@ -74,7 +74,7 @@ class SolveOutcome:
     always carries an assignment that was re-verified exactly."""
 
     status: str
-    assignment: dict[str, Fraction] | None = None
+    assignment: dict[str, Coeff] | None = None
     diagnostics: str = ""
 
     @property
@@ -86,12 +86,6 @@ class SolveOutcome:
 
 # ---------------------------------------------------------------------------
 # SMT-LIB2 emission.
-
-
-def _int_cleared(p: Polynomial) -> list[tuple[tuple, int]]:
-    # terms with denominators multiplied out and content removed
-    q = p.primitive_part()
-    return [(e, int(c)) for e, c in q.sorted_terms()]
 
 
 def _smt_term(names: Sequence[str], expo: tuple, coeff: int) -> str:
@@ -106,7 +100,8 @@ def _smt_term(names: Sequence[str], expo: tuple, coeff: int) -> str:
 
 
 def _smt_poly(names: Sequence[str], p: Polynomial) -> str:
-    terms = [_smt_term(names, e, c) for e, c in _int_cleared(p)]
+    # denominators multiplied out and content removed: int coefficients
+    terms = [_smt_term(names, e, c) for e, c in p.primitive_part().sorted_terms()]
     if not terms:
         return "0"
     if len(terms) == 1:
@@ -195,11 +190,11 @@ def parse_sexprs(text: str) -> list:
     return out
 
 
-def _sexpr_value(sx) -> Fraction:
+def _sexpr_value(sx) -> Coeff:
     """Numeric model value: 3, 1.5, (- 3), (/ 1 2), and nestings thereof."""
     if isinstance(sx, str):
         try:
-            return Fraction(sx)
+            return as_rational(sx)
         except ValueError:
             raise SolverOutputError(f"unreadable numeral {sx!r}") from None
     if isinstance(sx, list) and sx:
@@ -209,12 +204,12 @@ def _sexpr_value(sx) -> Fraction:
             den = _sexpr_value(sx[2])
             if den == 0:
                 raise SolverOutputError("zero denominator in model value")
-            return _sexpr_value(sx[1]) / den
+            return as_rational(Fraction(_sexpr_value(sx[1]), den))
     raise SolverOutputError(f"unreadable model value {sx!r}")
 
 
-def _model_assignment(sexprs: list, names: Sequence[str]) -> dict[str, Fraction]:
-    defs: dict[str, Fraction] = {}
+def _model_assignment(sexprs: list, names: Sequence[str]) -> dict[str, Coeff]:
+    defs: dict[str, Coeff] = {}
     def walk(items):
         for sx in items:
             if not isinstance(sx, list) or not sx:
@@ -232,10 +227,10 @@ def _model_assignment(sexprs: list, names: Sequence[str]) -> dict[str, Fraction]
     walk(sexprs)
     # solvers may omit don't-care variables; zero-fill and let the exact
     # re-verification decide whether that is acceptable
-    return {n: defs.get(n, Fraction(0)) for n in names}
+    return {n: defs.get(n, 0) for n in names}
 
 
-def _policy_holds(assignment: Mapping[str, Fraction], nonzero: str,
+def _policy_holds(assignment: Mapping[str, Coeff], nonzero: str,
                   names: Sequence[str]) -> bool:
     if nonzero == NONZERO_VECTOR:
         return any(assignment[n] != 0 for n in names)
@@ -245,7 +240,7 @@ def _policy_holds(assignment: Mapping[str, Fraction], nonzero: str,
 
 
 def verify_assignment(request: SolveRequest,
-                      assignment: Mapping[str, Fraction]) -> bool:
+                      assignment: Mapping[str, Coeff]) -> bool:
     """Exact check: every system polynomial vanishes, the nonzero policy
     holds, and integer domain really got integers."""
     names = request.system.context.names
@@ -334,11 +329,11 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
     system = request.system
     if not system.polys:
         names = system.context.names
-        assignment = {n: Fraction(0) for n in names}
+        assignment = dict.fromkeys(names, 0)
         if request.nonzero == NONZERO_VECTOR and names:
-            assignment[names[0]] = Fraction(1)
+            assignment[names[0]] = 1
         elif request.nonzero not in (NONZERO_VECTOR, NONZERO_NONE):
-            assignment[request.nonzero] = Fraction(1)
+            assignment[request.nonzero] = 1
         return SolveOutcome("sat", assignment=assignment,
                             diagnostics="empty system: every vector is a solution")
     script = emit_smtlib(request)
@@ -362,7 +357,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rational_roots(p: Polynomial) -> list[Fraction]:
+def rational_roots(p: Polynomial) -> list[Coeff]:
     """All rational roots of a univariate polynomial, ascending.
 
     Candidates are +-(divisor of trailing coefficient)/(divisor of leading
@@ -378,25 +373,23 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     if not used:
         return []
     i = p.context.index(used[0])
-    cleared = p.primitive_part()
-    coeffs: dict[int, int] = {}
-    for expo, c in cleared.terms.items():
-        coeffs[expo[i]] = int(c)
+    coeffs = {expo[i]: c for expo, c in p.primitive_part().terms.items()}
     degs = sorted(coeffs)
     roots = []
     low = degs[0]
     if low > 0:
-        roots.append(Fraction(0))  # x^low factors out
+        roots.append(0)  # x^low factors out
     trailing = coeffs[low]
     leading = coeffs[degs[-1]]
 
-    def value(x: Fraction) -> Fraction:
-        return sum((c * x ** (d - low) for d, c in coeffs.items()), Fraction(0))
+    def value(x: Coeff) -> Coeff:
+        return sum(c * x ** (d - low) for d, c in coeffs.items())
 
     seen = set(roots)
     for num in _divisors(trailing):
         for den in _divisors(leading):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
+            root = as_rational(Fraction(num, den))
+            for cand in (root, -root):
                 if cand not in seen and value(cand) == 0:
                     roots.append(cand)
                     seen.add(cand)
@@ -446,7 +439,6 @@ def brute_force_box(system: SynthesisSystem, bound: int,
 
 
 def classify_finiteness(system: SynthesisSystem,
-                        order: MonomialOrder = DEGREVLEX,
                         budget: Budget | None = None) -> str:
     """'finite' | 'infinite' | 'unknown' for the solution count over the
     algebraic closure: a basis {1} or a full staircase means finite (the
@@ -456,7 +448,7 @@ def classify_finiteness(system: SynthesisSystem,
     if not system.polys:
         return "finite" if not names else "infinite"
     try:
-        basis = buchberger(list(system.polys), order, budget)
+        basis = buchberger(list(system.polys), budget=budget)
     except BudgetExceeded:
         return "unknown"
     return "finite" if is_zero_dimensional(basis, names) else "infinite"

@@ -40,14 +40,12 @@ evaluating each round along the orbit of the start point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
 from .groebner import all_in_radical
-from .polyring import (DEGREVLEX, MonomialOrder, Polynomial, VarContext,
-                       as_rational)
+from .polyring import Coeff, Polynomial, VarContext, as_rational
 
 DEFAULT_MAX_ROUNDS = 32
 SIMULATION_STEPS = 10
@@ -65,7 +63,7 @@ class LoopTemplate:
     """Template L(a, h, f): initial values, guard, and generator lists."""
 
     context: VarContext
-    init: tuple[Fraction, ...]
+    init: tuple[Coeff, ...]
     guard: Polynomial
     generators: tuple[tuple[Polynomial, ...], ...]
 
@@ -148,7 +146,7 @@ class ConcreteLoop:
     """Fully instantiated loop: x <- a; while h(x) != 0: x <- F(x)."""
 
     context: VarContext
-    init: tuple[Fraction, ...]
+    init: tuple[Coeff, ...]
     guard: Polynomial
     update: tuple[Polynomial, ...]
 
@@ -167,7 +165,6 @@ class ConcreteLoop:
 
 
 def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                  order: MonomialOrder = DEGREVLEX,
                   max_rounds: int = DEFAULT_MAX_ROUNDS,
                   budget: Budget | None = None) -> list[Polynomial]:
     """Defining polynomials of the invariant set of V(g) under the map F.
@@ -180,12 +177,12 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
     h = Polynomial.one(g[0].context)
-    return _generators(g, F, h, _invariant_set(g, F, h, order, max_rounds, budget))
+    return _generators(g, F, h, _invariant_set(g, F, h, max_rounds, budget))
 
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                   h: Polynomial, order: MonomialOrder, max_rounds: int,
-                   budget: Budget | None, start: dict | None = None) -> int | None:
+                   h: Polynomial, max_rounds: int, budget: Budget | None,
+                   start: dict | None = None) -> int | None:
     """Round count of the invariant-set loop of V(g) under F guarded by h,
     or None when the start point is refuted.
 
@@ -217,9 +214,9 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
             start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
             if any(w * p.evaluate(start) != 0 for p in g):
                 return None
-        basis = groebner.buchberger(W, order, budget)
+        basis = groebner.buchberger(W, budget=budget)
         rems = [r for r in (basis.normal_form(p, budget) for p in batch) if r]
-        if all_in_radical(rems, basis, order, budget):
+        if all_in_radical(rems, basis, budget=budget):
             return rounds
         W.extend(rems)
         batch = [h * r.compose(F) for r in rems]
@@ -255,7 +252,6 @@ def build_augmented_map(template: LoopTemplate) -> tuple[list[Polynomial], VarCo
 
 
 def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
-                   order: MonomialOrder = DEGREVLEX,
                    max_rounds: int = DEFAULT_MAX_ROUNDS,
                    budget: Budget | None = None) -> SynthesisSystem:
     """Exact constraints on the template coefficients y making every
@@ -267,14 +263,14 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
     maps, ctx = build_augmented_map(template)
     gs = [g.extend_context(ctx) for g in invariants.polys]
     h = template.guard.extend_context(ctx)
-    rounds = _invariant_set(gs, maps, h, order, max_rounds, budget)
+    rounds = _invariant_set(gs, maps, h, max_rounds, budget)
     S = _generators(gs, maps, h, rounds)
     bindings = dict(zip(ctx.x_names, template.init))
     polys = []
     for q in S:
         p = q.substitute(bindings)
         if not p.is_zero:
-            polys.append(p.primitive_part(order))
+            polys.append(p.primitive_part())
     return SynthesisSystem(ctx.restrict(ctx.y_names), tuple(polys), len(S), rounds)
 
 
@@ -304,7 +300,6 @@ def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
 
 
 def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
-                     order: MonomialOrder = DEGREVLEX,
                      max_rounds: int = DEFAULT_MAX_ROUNDS,
                      budget: Budget | None = None) -> bool:
     """Exact invariance test: all g vanish on every reachable state iff a
@@ -313,15 +308,16 @@ def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
     start = dict(zip(loop.context.names, loop.init))
-    return _invariant_set(invariants.polys, loop.update, loop.guard, order,
-                          max_rounds, budget, start) is not None
+    return _invariant_set(invariants.polys, loop.update, loop.guard, max_rounds,
+                          budget, start) is not None
 
 
 def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
-             steps: int = SIMULATION_STEPS) -> bool:
+             steps: int = SIMULATION_STEPS, budget: Budget | None = None) -> bool:
     """Run the loop exactly for up to `steps` iterations; False iff some
     visited state (the terminal one included, when the guard vanishes)
-    violates an invariant.  Evidence only: True is no proof."""
+    violates an invariant.  Evidence only: True is no proof.  The budget,
+    when given, ticks once per step."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if invariants.context != loop.context:
@@ -335,5 +331,7 @@ def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
             return True
         if m == steps:
             break
+        if budget is not None:
+            budget.tick()
         state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
     return True

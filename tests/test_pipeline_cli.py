@@ -99,7 +99,8 @@ class TestRunPipeline:
     def test_one_budget_bounds_the_whole_run(self, tmp_path, monkeypatch):
         import loopsynth.pipeline as pipeline
         seen = []
-        for name in ("generate_loops", "classify_finiteness", "check_invariants"):
+        for name in ("generate_loops", "classify_finiteness", "check_invariants",
+                     "simulate"):
             def record(*args, _original=getattr(pipeline, name), **kwargs):
                 seen.append(kwargs["budget"])
                 return _original(*args, **kwargs)
@@ -107,7 +108,7 @@ class TestRunPipeline:
         doc = parse_problem(FAST_SYNTH, name="fast")
         report = run_pipeline(doc, solver=f"{sat_stub(tmp_path, FAST_MODEL)} {{file}}")
         assert report.verified is True
-        assert len(seen) == 3 and all(b is seen[0] for b in seen)
+        assert len(seen) == 4 and all(b is seen[0] for b in seen)
 
     def test_budget_exhaustion_reports_tl(self):
         doc = parse_problem(CUBIC_BENCH.read_text(), name="intro")
@@ -267,8 +268,9 @@ class TestCli:
         assert main(["synth", fast_file, "--frobnicate"]) == 1
 
     def test_bad_grid_cell(self, fast_file, capsys):
-        assert main(["bench", fast_file, "--grid", "nope"]) == 1
-        assert "grid" in capsys.readouterr().err
+        for cell in ("nope", "0:3", "1:0"):
+            assert main(["bench", fast_file, "--grid", cell]) == 1
+            assert "grid" in capsys.readouterr().err
 
     def test_synth_budget_out_during_verification(self, fast_file, tmp_path,
                                                   monkeypatch, capsys):

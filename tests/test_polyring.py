@@ -108,7 +108,6 @@ class TestArithmetic:
         assert Polynomial.zero(CTX).total_degree() == -1
         assert P("5").total_degree() == 0
         assert P("x*y^2").total_degree() == 3
-        assert P("x*y^2").degree_in("y") == 2
 
     def test_context_mismatch(self):
         other = VarContext(("x", "y"))
@@ -151,7 +150,7 @@ class TestEvaluateSubstituteCompose:
 
     def test_substitute_all_yields_constant(self):
         q = P("x + y + z").substitute({"x": 1, "y": 2, "z": 3})
-        assert q.constant_value() == 6
+        assert q == 6
 
     def test_compose_known(self):
         ctx = VarContext(("x1", "x2"))

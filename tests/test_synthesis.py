@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import (DEGREVLEX, Budget, BudgetExceeded, ConcreteLoop,
+from loopsynth import (Budget, BudgetExceeded, ConcreteLoop,
                        InvariantSpec, LoopTemplate, Polynomial, VarContext,
                        all_in_radical, buchberger, build_augmented_map,
                        check_invariants, generate_loops, instantiate,
@@ -224,6 +224,13 @@ class TestSimulateAndCheck:
             check_invariants(known_root_loop, cubic_invariants,
                              budget=Budget(max_steps=1))
 
+    def test_simulate_ticks_once_per_step(self, known_root_loop, cubic_invariants):
+        budget = Budget(max_steps=10)
+        assert simulate(known_root_loop, cubic_invariants, 10, budget=budget)
+        assert budget.steps == 10
+        with pytest.raises(BudgetExceeded):
+            simulate(known_root_loop, cubic_invariants, 11, budget=budget)
+
 
 # ---------------------------------------------------------------------------
 # The search composes remainders; these tests hold it to the loop that
@@ -299,7 +306,7 @@ class TestReducedLoopAgrees:
             start = dict(zip(loop.context.names, loop.init))
             want = _unreduced_loop(inv.polys, loop.update, loop.guard, start)
             rounds = synthesis._invariant_set(inv.polys, loop.update, loop.guard,
-                                              DEGREVLEX, DEFAULT_MAX_ROUNDS, None, start)
+                                              DEFAULT_MAX_ROUNDS, None, start)
             assert check_invariants(loop, inv) == (want is not None)
             if want is not None:
                 assert rounds == want[1]
