@@ -9,7 +9,7 @@ re-verifies every candidate exactly.
 
 from .budget import Budget, BudgetExceeded
 from .polyring import (ContextMismatchError, MonomialOrder, ParseError,
-                       Polynomial, Rational, VarContext, parse_polynomial,
+                       Polynomial, VarContext, parse_polynomial,
                        DEGREVLEX, LEX)
 from .groebner import (GroebnerBasis, all_in_radical, buchberger, divide,
                        in_ideal, in_radical, is_zero_dimensional, normal_form,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget", "BudgetExceeded",
     "ContextMismatchError", "MonomialOrder", "ParseError", "Polynomial",
-    "Rational", "VarContext", "parse_polynomial",
+    "VarContext", "parse_polynomial",
     "DEGREVLEX", "LEX",
     "GroebnerBasis", "all_in_radical", "buchberger", "divide", "in_ideal",
     "in_radical", "is_zero_dimensional", "normal_form", "s_polynomial",

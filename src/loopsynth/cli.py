@@ -170,11 +170,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def _exit_code(report: RunReport) -> int:
-    if report.status == "TL":
-        return EXIT_BUDGET
-    if report.status == "error":
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return {"TL": EXIT_BUDGET, "invalid": EXIT_USAGE,
+            "error": EXIT_INTERNAL}.get(report.status, EXIT_OK)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -204,7 +201,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.csv:
                 with open(args.csv, "w") as fh:
                     fh.write(render_csv(reports))
-            return max(map(_exit_code, reports), default=EXIT_OK)  # error over TL
+            return max(map(_exit_code, reports), default=EXIT_OK)  # error > TL > invalid
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"loopsynth: error: {exc}", file=sys.stderr)

@@ -6,16 +6,18 @@ budget so runaway computations abort with BudgetExceeded instead of
 hanging.  Reduced bases are unique per (ideal, order), so identical inputs
 give identical outputs.
 
-Division runs on integers.  Each divisor is prepared once (per buchberger
-run, lazily per GroebnerBasis) as leading monomial, leading coefficient lc
-and tail, scaled to coprime integers.  The work polynomial is a dict of
-ints over one common scale: a term c*m is cancelled after multiplying the
-work by lc/gcd(c, lc) when that is not 1, and remainder terms are divided
-by the scale as they leave, so the remainder is exact.  Under degrevlex the
-heap key of a monomial e in n variables is one int, sum e_i*(W^i - W^n)
-for W = 2^bitlen(deg f): the negated order key read in base W.  It orders
-like the tuple key while every exponent is below W, which holds as division
-under a degree-compatible order makes no term of degree above deg f.
+Division runs on integers.  A divisor is primitive: coprime integer
+coefficients and a positive leading coefficient lc.  It is prepared once
+as leading monomial, lc and tail, and a GroebnerBasis carries the divisors
+that buchberger prepared for its generators.  The work polynomial is a
+dict of ints over one common scale: a term c*m is cancelled after
+multiplying the work by lc/gcd(c, lc) when that is not 1, and remainder
+terms are divided by the scale as they leave, so the remainder is exact.
+Under degrevlex the heap key of a monomial e in n variables is one int,
+sum e_i*(W^i - W^n) for W = 2^bitlen(deg f): the negated order key read in
+base W.  It orders like the tuple key while every exponent is below W,
+which holds as division under a degree-compatible order makes no term of
+degree above deg f.
 
 Radical membership uses the auxiliary-variable trick: f lies in the
 radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  One
@@ -26,7 +28,7 @@ exactness-preserving shortcut runs first: f is reduced modulo a basis of
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
@@ -50,33 +52,31 @@ def _integral(p: Polynomial) -> tuple[int, dict]:
 
 
 def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
-    """(leading monomial, leading coefficient, tail) of g scaled to coprime
-    integers with a positive leading coefficient; rescaling a divisor
-    changes no remainder."""
+    """(leading monomial, leading coefficient, tail) of a primitive g.
+    Callers holding any other g pass g.primitive_part(order): rescaling a
+    divisor changes no remainder."""
     lm = g.leading_monomial(order)
-    ints = _integral(g)[1]
-    unit = gcd(*ints.values()) if ints[lm] > 0 else -gcd(*ints.values())
-    lc = ints.pop(lm) // unit
-    return lm, lc, [(m, c // unit) for m, c in ints.items()]
+    return lm, g.terms[lm], [(m, c) for m, c in g.terms.items() if m != lm]
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, interreduced, sorted by leading
-    monomial (ascending in the basis order)."""
+    """Reduced Groebner basis: primitive (coprime integer coefficients,
+    positive leading coefficient), interreduced, sorted by leading monomial
+    (ascending in the basis order).  reducers holds the _reducer triple of
+    each generator, in the same order."""
 
     context: VarContext
     order: MonomialOrder
     generators: tuple[Polynomial, ...]
+    reducers: tuple[tuple, ...] = field(compare=False, repr=False)
 
     @property
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].total_degree() == 0
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
-        if "_reducers" not in self.__dict__:  # prepared on first use
-            object.__setattr__(self, "_reducers", [_reducer(g, self.order) for g in self])
-        return normal_form(f, self.generators, self.order, budget, self._reducers)
+        return normal_form(f, self.generators, self.order, budget, self.reducers)
 
     def __iter__(self):
         return iter(self.generators)
@@ -97,7 +97,7 @@ def _s_pair(ctx: VarContext, ri: tuple, rj: tuple) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    rf, rg = _reducer(f, order), _reducer(g, order)
+    rf, rg = (_reducer(p.primitive_part(order), order) for p in (f, g))
     return _s_pair(f.context, rf, rg) / lcm(rf[1], rg[1])
 
 
@@ -159,7 +159,7 @@ def normal_form(f: Polynomial, gens: Sequence[Polynomial],
     gens is a Groebner basis.  reducers, when given, are the _reducer
     triples of the nonzero gens, in order."""
     if reducers is None:
-        reducers = [_reducer(g, order) for g in gens if g]
+        reducers = [_reducer(g.primitive_part(order), order) for g in gens if g]
     return _reduce(f, reducers, order, budget)
 
 
@@ -168,7 +168,7 @@ def divide(f: Polynomial, gens: Sequence[Polynomial],
     """(quotients, remainder) with sum(q_i * g_i) + remainder == f exactly.
     Zero generators get a zero quotient."""
     nonzero = [g for g in gens if g]
-    reducers = [_reducer(g, order) for g in nonzero]
+    reducers = [_reducer(g.primitive_part(order), order) for g in nonzero]
     quots: list[dict] = [{} for _ in nonzero]
     rem = _reduce(f, reducers, order, None, quots)
     it = iter(Polynomial(f.context, qd) * (Fraction(r[1]) / g.leading_coefficient(order))
@@ -195,13 +195,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     key = order.key
 
     def unit_basis() -> GroebnerBasis:
-        return GroebnerBasis(ctx, order, (Polynomial.one(ctx),))
+        one = Polynomial.one(ctx)
+        return GroebnerBasis(ctx, order, (one,), (_reducer(one, order),))
 
     if any(g.total_degree() == 0 for g in gens):
         return unit_basis()
     G = [g.primitive_part(order) for g in gens if g]
     if not G:
-        return GroebnerBasis(ctx, order, ())
+        return GroebnerBasis(ctx, order, (), ())
     reds = [_reducer(g, order) for g in G]
     lms = [r[0] for r in reds]
 
@@ -249,16 +250,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     reds = [reds[i] for i in kept]
 
     # interreduce tails: no leading monomial of a minimal basis is
-    # reducible, so they never change, and one pass leaves no tail term
-    # that any of them divides
+    # reducible, so they never change (nor does the ascending order of kept),
+    # and one pass leaves no tail term that any of them divides
     for idx in range(len(basis)):
         r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
                         reds[:idx] + reds[idx + 1:]).primitive_part(order)
         basis[idx], reds[idx] = r, _reducer(r, order)
-
-    basis = [b.monic(order) for b in basis]
-    basis.sort(key=lambda b: key(b.leading_monomial(order)))
-    return GroebnerBasis(ctx, order, tuple(basis))
+    return GroebnerBasis(ctx, order, tuple(basis), tuple(reds))
 
 
 def in_ideal(f: Polynomial, basis: GroebnerBasis, budget: Budget | None = None) -> bool:
@@ -271,8 +269,7 @@ def in_ideal(f: Polynomial, basis: GroebnerBasis, budget: Budget | None = None) 
 _SQUARE_TERM_CAP = 120  # skip the cheap square probe on huge remainders
 
 
-def _radical_member(f: Polynomial, basis: GroebnerBasis, order: MonomialOrder,
-                    budget: Budget | None) -> bool:
+def _radical_member(f: Polynomial, basis: GroebnerBasis, budget: Budget | None) -> bool:
     r = basis.normal_form(f, budget)
     if r.is_zero:
         return True
@@ -284,7 +281,7 @@ def _radical_member(f: Polynomial, basis: GroebnerBasis, order: MonomialOrder,
     t = Polynomial.variable(ctx_t, ctx_t.t_name)
     gens_t = [g.extend_context(ctx_t) for g in basis.generators]
     gens_t.append(Polynomial.one(ctx_t) - t * r.extend_context(ctx_t))
-    return buchberger(gens_t, order, budget).is_unit
+    return buchberger(gens_t, basis.order, budget).is_unit
 
 
 def in_radical(f: Polynomial, S: Sequence[Polynomial],
@@ -309,7 +306,7 @@ def all_in_radical(fs: Sequence[Polynomial], S: Sequence[Polynomial] | GroebnerB
         if not S:
             raise ValueError("all_in_radical needs a nonempty S")
         basis = buchberger(S, order, budget)
-    return all(_radical_member(f, basis, order, budget) for f in fs)
+    return all(_radical_member(f, basis, budget) for f in fs)
 
 
 def is_zero_dimensional(basis: GroebnerBasis, names: Iterable[str] | None = None) -> bool:

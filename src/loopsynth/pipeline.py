@@ -5,7 +5,8 @@ finiteness classification, SMT-LIB emission, the external solver (when one
 is available), and exact re-verification of any model by simulation plus
 the invariant-set criterion; one synthesis budget bounds synthesis,
 finiteness and verification together.  run_benchmarks maps that over a
-directory, isolating per-file failures into report rows, and renders CSV
+directory, isolating per-file failures into report rows (status invalid
+when the input is at fault, error when the program is), and renders CSV
 and a plain text table.  Budget exhaustion is reported as status TL with
 solver column NI (no input), never as a crash.
 """
@@ -37,7 +38,7 @@ class RunReport:
 
     name: str
     mode: str = "synth"               # synth | check
-    status: str = "ok"                # ok | TL | error
+    status: str = "ok"                # ok | TL | invalid | error
     n: int | None = None              # program variables
     m: int | None = None              # invariants
     l: int | None = None              # template coefficients
@@ -196,9 +197,10 @@ def collect_problem_files(target: str) -> list[str]:
 
 def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | None = None,
                    **overrides) -> list[RunReport]:
-    """One report per problem file (times the grid cells, when given);
-    parse errors, budget exhaustion, and crashes become rows, not
-    exceptions."""
+    """One report per problem file (times the grid cells, when given).
+    A file that does not open or parse, a grid cell that does not fit the
+    template and an override the problem rejects become invalid rows;
+    budget exhaustion and crashes become TL and error rows."""
     paths: list[str] = []
     for target in targets:
         paths.extend(collect_problem_files(target))
@@ -209,7 +211,7 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
             with open(path) as fh:
                 doc = parse_problem(fh.read(), name=name)
         except (OSError, ParseError) as exc:
-            reports.append(RunReport(name, status="error", error=str(exc)))
+            reports.append(RunReport(name, status="invalid", error=str(exc)))
             continue
         cells = [None] if not grid or doc.is_concrete else list(grid)
         for cell in cells:
@@ -221,7 +223,12 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
                     cell_doc = ProblemDoc(cell_name, doc.invariants,
                                           template=grid_template(doc, *cell),
                                           settings=doc.settings)
-                report = run_pipeline(_resolve(cell_doc, **overrides))
+                cell_doc = _resolve(cell_doc, **overrides)
+            except ValueError as exc:
+                reports.append(RunReport(cell_name, status="invalid", error=str(exc)))
+                continue
+            try:
+                report = run_pipeline(cell_doc)
                 report.name = cell_name
             except Exception as exc:  # isolate rows from each other
                 report = RunReport(cell_name, status="error", error=str(exc))

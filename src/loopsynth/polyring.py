@@ -29,7 +29,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
 Coeff = Union[int, Fraction]  # the one rational form, as_rational's
 
 
@@ -186,7 +185,7 @@ class Polynomial:
     read-only.  All arithmetic is exact.
     """
 
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "terms")
 
     def __init__(self, context: VarContext, terms: Mapping[Monomial, Coeff] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -211,7 +210,6 @@ class Polynomial:
                         del clean[expo]
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -283,11 +281,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.context, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.context, frozenset(self.terms.items())))
 
     # -- ring operations ----------------------------------------------------
 
@@ -378,7 +372,6 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         object.__setattr__(p, "context", self.context)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     # -- evaluation and substitution ----------------------------------------
@@ -498,12 +491,6 @@ class Polynomial:
         # x / (n/d) in exact integer arithmetic, so the coefficients stay int
         return self._wrap({e: x.numerator * (d // x.denominator) // n
                            for e, x in self.terms.items()})
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = as_rational(1 / Fraction(self.leading_coefficient(order)))
-        return self._wrap({e: as_rational(x * inv) for e, x in self.terms.items()})
 
     # -- printing ------------------------------------------------------------
 

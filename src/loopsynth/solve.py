@@ -33,6 +33,10 @@ NONZERO_VECTOR = "vector"
 NONZERO_NONE = "none"
 
 DEFAULT_SOLVE_SECONDS = 60.0
+# subprocess waits through poll(), whose timeout is a C int of milliseconds
+# (about 24.8 days) and raises OverflowError beyond it; a solver is waited
+# for at most this long, and never longer than its budget
+MAX_SOLVER_WAIT_SECONDS = 2_000_000
 ENV_SOLVER = "LOOPSYNTH_SOLVER"
 ENUMERATION_CAP = 2_000_000
 
@@ -288,7 +292,7 @@ def run_external_solver(script: str, budget_seconds: float,
         argv = [a.replace("{file}", path) for a in command]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=budget_seconds)
+                                  timeout=min(budget_seconds, MAX_SOLVER_WAIT_SECONDS))
         except FileNotFoundError:
             return SolveOutcome("solver-unavailable",
                                 diagnostics=f"cannot execute {argv[0]!r}")

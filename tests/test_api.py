@@ -1,3 +1,5 @@
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,3 +59,10 @@ def test_one_rational_form(entry):
     assert values
     for v in values:
         assert type(v) is int or (type(v) is Fraction and v.denominator != 1), (entry, v)
+
+
+def test_readme_library_block_runs():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,39 @@ class TestBuchberger:
         gens = [P("x^3*y^2 - z"), P("x*y^4 + y*z^2 - 1"), P("x^2*z^3 - y")]
         with pytest.raises(BudgetExceeded):
             buchberger(gens, DEGREVLEX, Budget(max_steps=2))
+
+
+def random_ideals(seed, count):
+    # nonzero ideals of up to three sparse polynomials, some with fractions
+    rng = random.Random(seed)
+    ideals = []
+    while len(ideals) < count:
+        gens = [Polynomial(CTX, {tuple(rng.randint(0, 2) for _ in range(3)):
+                                 Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(3)})
+                for _ in range(rng.randint(1, 3))]
+        if any(gens):
+            ideals.append(gens)
+    return ideals
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([P("3*x - 2")], DEGREVLEX),
+    ([P("y - x^2"), P("z - x^3")], LEX),
+    ([P("x"), P("x + 1")], DEGREVLEX),
+    ([P("0")], DEGREVLEX),
+    *[(gens, DEGREVLEX) for gens in random_ideals(5, 8)],
+])
+def test_basis_is_primitive_and_carries_its_reducers(gens, order):
+    basis = buchberger(gens, order)
+    for g in basis:
+        assert g == g.primitive_part(order)
+        assert all(type(c) is int for c in g.terms.values()), g.terms
+    assert list(basis.reducers) == [groebner._reducer(g, order) for g in basis]
+
+
+def test_basis_generators_are_not_made_monic():
+    assert list(buchberger([P("3*x - 2")])) == [P("3*x - 2")]
 
 
 class TestIdealMembership:

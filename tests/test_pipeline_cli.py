@@ -196,7 +196,7 @@ class TestRunBenchmarks:
         broken.write_text("vars x1\ninit 1\ninvariant x1 +\n")
         reports = run_benchmarks([str(tmp_path)])
         by_name = {r.name: r for r in reports}
-        assert by_name["broken"].status == "error"
+        assert by_name["broken"].status == "invalid"
         assert "3:" in by_name["broken"].error
         assert by_name["fast"].status == "ok"
         assert by_name["sum"].verified is True
@@ -298,4 +298,30 @@ class TestCli:
     def test_bench_error_exit_code(self, tmp_path, capsys):
         broken = tmp_path / "broken.loop"
         broken.write_text("vars\n")
-        assert main(["bench", str(broken)]) == 3
+        assert main(["bench", str(broken)]) == 1
+
+    @pytest.mark.parametrize("cell, message", [("1:1", "l must be >= 2"),
+                                               ("1:50", "l=50 too large")])
+    def test_bench_grid_cell_misfit_is_an_invalid_row(self, fast_file, cell,
+                                                      message, capsys):
+        assert main(["bench", fast_file, "--grid", cell]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].split()[2] == "invalid"
+        assert message in out
+
+    def test_bench_crash_in_the_pipeline_stays_an_error(self, fast_file,
+                                                        monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("loopsynth.pipeline.run_pipeline", crash)
+        assert main(["bench", fast_file]) == 3
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].split()[2] == "error"
+        assert "fast: boom" in out
+
+    def test_solve_budget_beyond_the_solver_wait_cap(self, fast_file, tmp_path,
+                                                     capsys):
+        stub = sat_stub(tmp_path, FAST_MODEL)
+        assert main(["synth", fast_file, "--solver", f"{stub} {{file}}",
+                     "--solve-budget", "3e6"]) == 0
+        assert "solver: sat" in capsys.readouterr().out

@@ -145,10 +145,10 @@ class TestCliValues:
                                                                   capsys, no_synthesis):
         write(tmp_path, "fast.loop", FAST_SYNTH)
         write(tmp_path, "sum.loop", CHECK)
-        assert main(["bench", str(tmp_path), "--nonzero", "y9"]) == 3
+        assert main(["bench", str(tmp_path), "--nonzero", "y9"]) == 1
         out = capsys.readouterr().out
         assert "fast: nonzero option 'y9' is not a template coefficient" in out
-        assert [line.split()[2] for line in out.splitlines()[2:4]] == ["error", "ok"]
+        assert [line.split()[2] for line in out.splitlines()[2:4]] == ["invalid", "ok"]
 
 
 # flags of a verb that are not run options

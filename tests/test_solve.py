@@ -188,6 +188,12 @@ exit 1
         assert out.status == "unknown"
         assert "timeout" in out.diagnostics
 
+    def test_budget_beyond_the_wait_cap(self, tmp_path):
+        # poll() takes an int of milliseconds; 3e6 s does not fit in one
+        cmd = stub(tmp_path, "no", "echo unsat\n")
+        out = run_external_solver(self.script, 3e6, [cmd, "{file}"], self.req)
+        assert out.status == "unsat"
+
     def test_missing_binary_is_unavailable(self):
         out = run_external_solver(self.script, 5,
                                   ["/nonexistent/bin/solver", "{file}"],
