@@ -11,9 +11,8 @@ from .budget import Budget, BudgetExceeded
 from .polyring import (ContextMismatchError, MonomialOrder, ParseError,
                        Polynomial, VarContext, parse_polynomial,
                        DEGREVLEX, LEX)
-from .groebner import (GroebnerBasis, all_in_radical, buchberger, divide,
-                       in_ideal, in_radical, is_zero_dimensional, normal_form,
-                       s_polynomial)
+from .groebner import (GroebnerBasis, all_in_radical, buchberger, in_radical,
+                       is_zero_dimensional, normal_form, s_polynomial)
 from .synthesis import (ConcreteLoop, InvariantSpec, LoopTemplate,
                         SynthesisSystem, build_augmented_map, check_invariants,
                         generate_loops, instantiate, invariant_set, simulate)
@@ -21,7 +20,7 @@ from .solve import (EnumerationCapError, SolveOutcome, SolveRequest,
                     SolverOutputError, brute_force_box, classify_finiteness,
                     discover_solver, emit_smtlib, parse_sexprs, rational_roots,
                     run_external_solver, solve, verify_assignment)
-from .problemfile import ProblemDoc, Settings, format_problem, parse_problem
+from .problemfile import ProblemDoc, Settings, parse_problem
 from .pipeline import (RunReport, grid_template, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
 
@@ -32,8 +31,8 @@ __all__ = [
     "ContextMismatchError", "MonomialOrder", "ParseError", "Polynomial",
     "VarContext", "parse_polynomial",
     "DEGREVLEX", "LEX",
-    "GroebnerBasis", "all_in_radical", "buchberger", "divide", "in_ideal",
-    "in_radical", "is_zero_dimensional", "normal_form", "s_polynomial",
+    "GroebnerBasis", "all_in_radical", "buchberger", "in_radical",
+    "is_zero_dimensional", "normal_form", "s_polynomial",
     "ConcreteLoop", "InvariantSpec", "LoopTemplate", "SynthesisSystem",
     "build_augmented_map", "check_invariants", "generate_loops",
     "instantiate", "invariant_set", "simulate",
@@ -41,7 +40,7 @@ __all__ = [
     "SolverOutputError", "brute_force_box", "classify_finiteness",
     "discover_solver", "emit_smtlib", "parse_sexprs", "rational_roots",
     "run_external_solver", "solve", "verify_assignment",
-    "ProblemDoc", "Settings", "format_problem", "parse_problem",
+    "ProblemDoc", "Settings", "parse_problem",
     "RunReport", "grid_template", "render_csv", "render_table",
     "run_benchmarks", "run_check", "run_pipeline",
     "__version__",

@@ -39,16 +39,9 @@ from .polyring import (DEGREVLEX, ContextMismatchError, MonomialOrder, Polynomia
                        VarContext)
 
 __all__ = [
-    "GroebnerBasis", "s_polynomial", "divide", "normal_form", "buchberger",
-    "in_ideal", "in_radical", "all_in_radical", "is_zero_dimensional",
-    "BudgetExceeded",
+    "GroebnerBasis", "s_polynomial", "normal_form", "buchberger",
+    "in_radical", "all_in_radical", "is_zero_dimensional", "BudgetExceeded",
 ]
-
-
-def _integral(p: Polynomial) -> tuple[int, dict]:
-    # (d, p*d as a dict of ints) for d the lcm of p's denominators
-    d = lcm(*[c.denominator for c in p.terms.values()])
-    return d, {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
 
 
 def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
@@ -101,16 +94,24 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
     return _s_pair(f.context, rf, rg) / lcm(rf[1], rg[1])
 
 
-def _reduce(f: Polynomial, reducers: Sequence[tuple], order: MonomialOrder,
-            budget: Budget | None, quotients: list[dict] | None = None) -> Polynomial:
-    """Full multivariate division by prepared reducers: the first one in
-    list order whose leading monomial divides wins, so the result is
-    deterministic.  Quotients, when asked for, are of the scaled reducers."""
-    scale, work = _integral(f)
+def normal_form(f: Polynomial, gens: Sequence[Polynomial],
+                order: MonomialOrder = DEGREVLEX, budget: Budget | None = None,
+                reducers: Sequence[tuple] | None = None) -> Polynomial:
+    """Remainder of f on full division by gens; zero iff f is in the ideal
+    when gens is a Groebner basis.  The first divisor in list order whose
+    leading monomial divides wins, so the result is deterministic.
+    reducers, when given, are the _reducer triples of the nonzero gens, in
+    order."""
+    if reducers is None:
+        reducers = [_reducer(g.primitive_part(order), order) for g in gens if g]
+    # the work is f*scale as a dict of ints, scale the lcm of its denominators
+    scale = lcm(*[c.denominator for c in f.terms.values()])
+    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
     get = work.get
     if order.kind == "degrevlex":  # the int key of the module docstring
+        n = f.context.arity
         width = 1 << f.total_degree().bit_length()
-        weights = [width ** i - width ** len(f.context) for i in range(len(f.context))]
+        weights = [width ** i - width ** n for i in range(n)]
         key = lambda e: sum(map(mul, e, weights))
     else:
         key = lambda e, order_key=order.key: tuple(map(neg, order_key(e)))
@@ -122,7 +123,7 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple], order: MonomialOrder,
         c = work.pop(m, 0)
         if not c:
             continue
-        for idx, (lm, lc, tail) in enumerate(reducers):
+        for lm, lc, tail in reducers:
             if all(map(le, lm, m)):
                 break
         else:
@@ -147,33 +148,7 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple], order: MonomialOrder,
                     heapq.heappush(heap, (key(mm), mm))
             else:
                 del work[mm]
-        if quotients is not None:
-            quotients[idx][q] = quotients[idx].get(q, 0) + Fraction(c, scale)
     return Polynomial(f.context, rem)
-
-
-def normal_form(f: Polynomial, gens: Sequence[Polynomial],
-                order: MonomialOrder = DEGREVLEX, budget: Budget | None = None,
-                reducers: Sequence[tuple] | None = None) -> Polynomial:
-    """Remainder of f on division by gens; zero iff f is in the ideal when
-    gens is a Groebner basis.  reducers, when given, are the _reducer
-    triples of the nonzero gens, in order."""
-    if reducers is None:
-        reducers = [_reducer(g.primitive_part(order), order) for g in gens if g]
-    return _reduce(f, reducers, order, budget)
-
-
-def divide(f: Polynomial, gens: Sequence[Polynomial],
-           order: MonomialOrder = DEGREVLEX):
-    """(quotients, remainder) with sum(q_i * g_i) + remainder == f exactly.
-    Zero generators get a zero quotient."""
-    nonzero = [g for g in gens if g]
-    reducers = [_reducer(g.primitive_part(order), order) for g in nonzero]
-    quots: list[dict] = [{} for _ in nonzero]
-    rem = _reduce(f, reducers, order, None, quots)
-    it = iter(Polynomial(f.context, qd) * (Fraction(r[1]) / g.leading_coefficient(order))
-              for qd, r, g in zip(quots, reducers, nonzero))
-    return [next(it) if g else Polynomial.zero(f.context) for g in gens], rem
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
@@ -259,10 +234,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     return GroebnerBasis(ctx, order, tuple(basis), tuple(reds))
 
 
-def in_ideal(f: Polynomial, basis: GroebnerBasis, budget: Budget | None = None) -> bool:
-    return basis.normal_form(f, budget).is_zero
-
-
 # ---------------------------------------------------------------------------
 # Radical membership.
 
@@ -288,24 +259,15 @@ def in_radical(f: Polynomial, S: Sequence[Polynomial],
                order: MonomialOrder = DEGREVLEX,
                budget: Budget | None = None) -> bool:
     """Exact membership of f in the radical of <S> (S nonempty)."""
-    return all_in_radical([f], S, order, budget)
+    return all_in_radical([f], buchberger(S, order, budget), budget)
 
 
-def all_in_radical(fs: Sequence[Polynomial], S: Sequence[Polynomial] | GroebnerBasis,
-                   order: MonomialOrder = DEGREVLEX,
+def all_in_radical(fs: Sequence[Polynomial], basis: GroebnerBasis,
                    budget: Budget | None = None) -> bool:
-    """True iff every f in fs lies in the radical of <S>.  S is a nonempty
-    list of generators, whose basis is computed once and shared, or a
-    GroebnerBasis, which is used as it is.  Evaluation short-circuits on
-    the first failure.  Callers that pass remainders modulo the basis lose
-    nothing: the first step reduces f, and f - NF(f) lies in <S>."""
-    if isinstance(S, GroebnerBasis):
-        basis = S
-    else:
-        S = list(S)
-        if not S:
-            raise ValueError("all_in_radical needs a nonempty S")
-        basis = buchberger(S, order, budget)
+    """True iff every f in fs lies in the radical of the ideal of basis.
+    Evaluation short-circuits on the first failure.  Callers that pass
+    remainders modulo the basis lose nothing: the first step reduces f,
+    and f - NF(f) lies in the ideal."""
     return all(_radical_member(f, basis, budget) for f in fs)
 
 

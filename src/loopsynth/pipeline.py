@@ -156,12 +156,12 @@ def _verify(report: RunReport, loop: ConcreteLoop, invariants: InvariantSpec,
 # Benchmark harness.
 
 
-def grid_template(tpl_or_doc, D: int, l: int) -> LoopTemplate:
-    """Replace a template's generators by the derived (D, l) structure:
+def grid_template(doc: ProblemDoc, D: int, l: int) -> LoopTemplate:
+    """Replace the template's generators by the derived (D, l) structure:
     variable i draws from [x_i, monomials of degree 1..D by (degree, index
     combination), constant 1 last]; l is split evenly with the remainder
     going to the leading variables."""
-    tpl: LoopTemplate = tpl_or_doc.template if isinstance(tpl_or_doc, ProblemDoc) else tpl_or_doc
+    tpl = doc.template
     if tpl is None:
         raise ValueError("grid mode needs a synthesis-form problem")
     if D < 1:
@@ -170,22 +170,24 @@ def grid_template(tpl_or_doc, D: int, l: int) -> LoopTemplate:
     n = ctx.arity
     if l < n:
         raise ValueError(f"l must be >= {n} (one generator per variable)")
-    monos: list[Polynomial] = []
-    for d in range(1, D + 1):
-        for combo in itertools.combinations_with_replacement(range(n), d):
-            expo = [0] * n
-            for i in combo:
-                expo[i] += 1
-            monos.append(Polynomial(ctx, {tuple(expo): 1}))
-    one = Polynomial.one(ctx)
     xs = Polynomial.variables(ctx)
+
+    def pool(i: int):
+        # lazy: a variable takes at most l entries, whatever D is
+        yield xs[i]
+        for d in range(1, D + 1):
+            for combo in itertools.combinations_with_replacement(range(n), d):
+                if combo != (i,):
+                    yield Polynomial(ctx, {tuple(map(combo.count, range(n))): 1})
+        yield Polynomial.one(ctx)
+
     counts = [l // n + (1 if i < l % n else 0) for i in range(n)]
     gens = []
     for i, c in enumerate(counts):
-        pool = [xs[i]] + [m for m in monos if m != xs[i]] + [one]
-        if c > len(pool):
+        picked = tuple(itertools.islice(pool(i), c))
+        if len(picked) < c:
             raise ValueError(f"l={l} too large for D={D} with {n} variables")
-        gens.append(tuple(pool[:c]))
+        gens.append(picked)
     return LoopTemplate(ctx, tpl.init, tpl.guard, tuple(gens))
 
 

@@ -109,9 +109,6 @@ class VarContext:
     def arity(self) -> int:
         return len(self.names)
 
-    def __len__(self) -> int:
-        return self.arity
-
     def __contains__(self, name: str) -> bool:
         return name in self.names
 
@@ -647,17 +644,7 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, val, line, col = self.take()
         if kind == "int":
-            num = int(val)
-            k2, v2, _, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3, l3, c3 = self.take()
-                if k3 != "int":
-                    raise ParseError("denominator must be an integer", l3, c3)
-                if int(v3) == 0:
-                    raise ParseError("zero denominator", l3, c3)
-                return Polynomial.constant(self.context, Fraction(num, int(v3)))
-            return Polynomial.constant(self.context, num)
+            return Polynomial.constant(self.context, int(val))
         if kind == "name":
             if val not in self.context:
                 raise ParseError(f"unknown variable {val!r}", line, col)

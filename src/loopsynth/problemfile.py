@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
-from .solve import DEFAULT_SOLVE_SECONDS
+from .solve import DEFAULT_SOLVE_SECONDS, solver_argv
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SYNTH_BUDGET = 300.0
@@ -51,6 +51,12 @@ class Settings:
         if not (isinstance(self.nonzero, str) and self.nonzero.isidentifier()):
             raise ValueError("nonzero must be vector, none or a coefficient name, "
                              f"not {self.nonzero!r}")
+        if self.solver is not None:
+            try:
+                solver_argv(self.solver)
+            except ValueError as exc:
+                raise ValueError(f"solver must be a command line, not {self.solver!r}: "
+                                 f"{exc}") from None
         for key in ("solve_budget", "synth_budget"):
             seconds = getattr(self, key)
             if type(seconds) not in (int, float) or not 0 < seconds < float("inf"):
@@ -243,26 +249,3 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     except ValueError as exc:
         _fail(str(exc), *nonzero_pos)
     return ProblemDoc(name, spec, template=template, loop=loop, settings=settings)
-
-
-def format_problem(doc: ProblemDoc) -> str:
-    """Canonical text for a ProblemDoc; parse_problem inverts it."""
-    obj = doc.template if doc.template is not None else doc.loop
-    ctx = obj.context
-    lines = ["vars " + " ".join(ctx.names),
-             "init " + " ".join(str(v) for v in obj.init)]
-    if obj.guard != Polynomial.one(ctx):
-        lines.append(f"guard {obj.guard}")
-    lines.extend(f"invariant {g}" for g in doc.invariants.polys)
-    if doc.template is not None:
-        for n, gs in zip(ctx.names, doc.template.generators):
-            lines.append(f"gen {n}: " + ", ".join(str(f) for f in gs))
-    else:
-        for n, u in zip(ctx.names, doc.loop.update):
-            lines.append(f"update {n}: {u}")
-    defaults = Settings()
-    for key, (attr, _) in _OPTIONS.items():
-        value = getattr(doc.settings, attr)
-        if value != getattr(defaults, attr):
-            lines.append(f"option {key} {value}")
-    return "\n".join(lines) + "\n"

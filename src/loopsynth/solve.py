@@ -260,14 +260,24 @@ def verify_assignment(request: SolveRequest,
 # External solver driver.
 
 
+def solver_argv(command: str) -> list[str]:
+    """argv template of a shell-style solver command, where {file} marks
+    the script path, alone or inside an argument; it is appended as its own
+    argument when no argument holds it.  ValueError on bad quoting or a
+    blank command."""
+    argv = shlex.split(command)
+    if not argv:
+        raise ValueError("blank command")
+    return argv if any("{file}" in a for a in argv) else argv + ["{file}"]
+
+
 def discover_solver(configured: str | None = None) -> list[str] | None:
     """argv template for a usable solver, or None.  The configured command
-    (a --solver flag or an option solver line), else LOOPSYNTH_SOLVER, is
-    a shell-style command where {file} marks the script path (appended
-    when absent); otherwise z3/cvc5 on PATH are tried."""
-    argv = shlex.split(configured or os.environ.get(ENV_SOLVER, ""))
-    if argv:
-        return argv if "{file}" in argv else argv + ["{file}"]
+    (a --solver flag or an option solver line), else LOOPSYNTH_SOLVER, goes
+    through solver_argv; otherwise z3/cvc5 on PATH are tried."""
+    command = configured or os.environ.get(ENV_SOLVER, "")
+    if command.strip():
+        return solver_argv(command)
     path = shutil.which("z3") or shutil.which("cvc5")
     return [path, "{file}"] if path else None
 

@@ -189,6 +189,11 @@ class TestGridTemplate:
         with pytest.raises(ValueError):
             grid_template(doc, 1, 2)
 
+    def test_pool_is_built_lazily(self):
+        # a variable takes at most l entries, so a huge D costs nothing
+        doc = parse_problem(CUBIC_BENCH.read_text(), name="intro")
+        assert grid_template(doc, 10**6, 5).generators == grid_template(doc, 2, 5).generators
+
 
 class TestRunBenchmarks:
     def test_per_file_isolation(self, tmp_path, fast_file, check_file):

@@ -253,6 +253,13 @@ class TestParser:
         with pytest.raises(ParseError):
             P("x/y")
 
+    def test_power_binds_tighter_than_division(self):
+        with pytest.raises(ParseError):
+            P("3/4^2")
+        assert P("(3/4)^2") == P("9/16")
+        with pytest.raises(ParseError):
+            P("1/0")
+
     def test_parenthesized_expressions(self):
         assert P("(x + y)^2") == P("x^2 + 2*x*y + y^2")
         assert P("-(x - y)*(x + y)") == P("y^2 - x^2")

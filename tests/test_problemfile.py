@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopsynth import (ParseError, format_problem, parse_polynomial,
-                       parse_problem)
+from loopsynth import ParseError, parse_polynomial, parse_problem
 
 SYNTH = """\
 # two-variable template
@@ -74,17 +73,6 @@ class TestParse:
         assert (s.domain, s.nonzero, s.solver) == ("integers", "vector", None)
         assert s.solve_budget == 60.0 and s.synth_budget == 300.0
         assert doc.template.guard == parse_polynomial("1", doc.template.context)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", [SYNTH, CHECK])
-    def test_format_parse_identity(self, text):
-        doc = parse_problem(text, name="rt")
-        again = parse_problem(format_problem(doc), name="rt")
-        assert again.template == doc.template
-        assert again.loop == doc.loop
-        assert again.invariants.polys == doc.invariants.polys
-        assert again.settings == doc.settings
 
 
 class TestErrors:

@@ -40,6 +40,7 @@ BAD_VALUES = [
     ("--synth-budget", "0", "option synth_budget 0", "synth_budget"),
     ("--rounds", "0", "option rounds 0", "rounds"),
     ("--domain", "reals", "option domain reals", "domain"),
+    ("--solver", 'z3 "oops', 'option solver z3 "oops', "solver"),
 ]
 
 
@@ -71,6 +72,8 @@ class TestSettings:
         ("max_rounds", 0, "rounds"),
         ("max_rounds", 2.0, "rounds"),
         ("max_rounds", True, "rounds"),
+        ("solver", 'z3 "oops', "solver"),
+        ("solver", "   ", "solver"),
     ])
     def test_bad_value_names_its_option(self, field, value, named):
         with pytest.raises(ValueError, match=named):
@@ -215,6 +218,9 @@ class TestSolverDiscovery:
         monkeypatch.setenv("LOOPSYNTH_SOLVER", "from-env -q")
         assert discover_solver("from-flag {file} -in") == ["from-flag", "{file}", "-in"]
         assert discover_solver(None) == ["from-env", "-q", "{file}"]
+
+    def test_file_inside_an_argument_is_not_appended(self):
+        assert discover_solver("stub --in={file}") == ["stub", "--in={file}"]
 
     def test_pipeline_discovers_once(self, monkeypatch):
         calls = []
