@@ -19,7 +19,7 @@ from .synthesis import (ConcreteLoop, InvariantSpec, LoopTemplate,
 from .solve import (EnumerationCapError, SolveOutcome, SolveRequest,
                     SolverOutputError, brute_force_box, classify_finiteness,
                     discover_solver, emit_smtlib, parse_sexprs, rational_roots,
-                    run_external_solver, solve, verify_assignment)
+                    solve, verify_assignment)
 from .problemfile import ProblemDoc, Settings, parse_problem
 from .pipeline import (RunReport, grid_template, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
@@ -39,7 +39,7 @@ __all__ = [
     "EnumerationCapError", "SolveOutcome", "SolveRequest",
     "SolverOutputError", "brute_force_box", "classify_finiteness",
     "discover_solver", "emit_smtlib", "parse_sexprs", "rational_roots",
-    "run_external_solver", "solve", "verify_assignment",
+    "solve", "verify_assignment",
     "ProblemDoc", "Settings", "parse_problem",
     "RunReport", "grid_template", "render_csv", "render_table",
     "run_benchmarks", "run_check", "run_pipeline",

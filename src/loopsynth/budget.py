@@ -29,8 +29,8 @@ class Budget:
         self.steps = 0
         self._deadline = None if seconds is None else time.monotonic() + seconds
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
+    def tick(self) -> None:
+        self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise BudgetExceeded(f"step budget exceeded ({self.max_steps} steps)")
         if self._deadline is not None and time.monotonic() > self._deadline:

@@ -21,6 +21,7 @@ from .polyring import ParseError
 from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
 from .problemfile import Settings, _resolve, parse_problem
+from .solve import ENV_SOLVER, solver_argv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,11 +96,15 @@ def build_parser() -> _Parser:
 
 def _overrides(args) -> dict:
     """The Settings fields set by this verb's flags, checked by Settings
-    as far as they do not depend on the problem."""
+    as far as they do not depend on the problem.  A verb that runs a
+    solver without --solver checks LOOPSYNTH_SOLVER here too."""
     names = {f.name for f in fields(Settings)}
     kept = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
         Settings(**kept)
+        command = os.environ.get(ENV_SOLVER, "")
+        if hasattr(args, "solver") and args.solver is None and command.strip():
+            solver_argv(ENV_SOLVER, command)
     except ValueError as exc:
         raise UsageError(str(exc))
     return kept
@@ -181,13 +186,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides = _overrides(args)
         if args.command in ("synth", "check"):
             doc = _load(args.file, overrides)
+            fits = "check" if doc.is_concrete else "synth"
+            if args.command != fits:
+                lines = {"synth": "gen", "check": "update"}
+                raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
+                                 f"lines, this file has {lines[fits]} lines (use {fits})")
             if args.command == "synth":
                 report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
-            elif doc.is_concrete:
-                report, show = run_check(doc, steps=args.steps), _print_check
             else:
-                raise UsageError(f"{args.file}: check needs update lines, "
-                                 "this file has gen lines (use synth)")
+                report, show = run_check(doc, steps=args.steps), _print_check
             if args.json:
                 print(json.dumps(report.to_dict(), indent=2))
             else:

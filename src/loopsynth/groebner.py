@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
 from .polyring import (DEGREVLEX, ContextMismatchError, MonomialOrder, Polynomial,
@@ -271,19 +271,17 @@ def all_in_radical(fs: Sequence[Polynomial], basis: GroebnerBasis,
     return all(_radical_member(f, basis, budget) for f in fs)
 
 
-def is_zero_dimensional(basis: GroebnerBasis, names: Iterable[str] | None = None) -> bool:
-    """Staircase test: every requested variable shows up as a pure power
-    among the leading monomials (then only finitely many common zeros exist
-    over the algebraic closure, projected to those coordinates)."""
-    ctx = basis.context
-    wanted = list(names) if names is not None else list(ctx.names)
+def is_zero_dimensional(basis: GroebnerBasis) -> bool:
+    """Staircase test: every variable shows up as a pure power among the
+    leading monomials (then only finitely many common zeros exist over the
+    algebraic closure)."""
+    arity = basis.context.arity
     if not basis.generators:
-        return not wanted
+        return arity == 0
     if basis.is_unit:
         return True
     lms = [g.leading_monomial(basis.order) for g in basis.generators]
-    for name in wanted:
-        i = ctx.index(name)
+    for i in range(arity):
         if not any(lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i)
                    for lm in lms):
             return False

@@ -69,12 +69,14 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
                  **overrides) -> RunReport:
     """Synthesis pipeline for one problem; check-form docs are delegated to
     run_check.  The other keywords are Settings fields overriding the
-    file's options; a bad value raises ValueError before any work starts."""
+    file's options; a bad value, or a bad LOOPSYNTH_SOLVER, raises
+    ValueError before any work starts."""
     doc = _resolve(doc, **overrides)
     if doc.is_concrete:
         return run_check(doc)
 
     settings = doc.settings
+    command = discover_solver(settings.solver)
     tpl = doc.template
     report = RunReport(doc.name, n=tpl.context.arity, m=len(doc.invariants.polys),
                        l=tpl.coeff_count,
@@ -107,7 +109,7 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
         report.smt_path = emit_smt
 
     t0 = time.perf_counter()
-    outcome = solve(request, command=discover_solver(settings.solver))
+    outcome = solve(request, command)
     report.solve_seconds = time.perf_counter() - t0
     report.solver_status = outcome.status
     if outcome.status == "sat":

@@ -118,11 +118,11 @@ class VarContext:
         except ValueError:
             raise KeyError(f"unknown variable {name!r} in context {self.names}") from None
 
-    def with_t(self, base: str = "t") -> "VarContext":
+    def with_t(self) -> "VarContext":
         """Extend with a fresh trailing auxiliary variable."""
         if self.t_name is not None:
             raise ValueError("context already has an auxiliary variable")
-        return VarContext(self.x_names, self.y_names, fresh_name(base, self.names))
+        return VarContext(self.x_names, self.y_names, fresh_name("t", self.names))
 
     def restrict(self, keep: Iterable[str]) -> "VarContext":
         """Sub-context with only the given names, block roles preserved."""
@@ -257,8 +257,8 @@ class Polynomial:
         i = self.context.index(name)
         return any(e[i] for e in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=reverse)
+    def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
+        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if not self.terms:

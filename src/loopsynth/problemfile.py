@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from .polyring import (ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
-from .solve import DEFAULT_SOLVE_SECONDS, solver_argv
+from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR,
+                    check_domain, check_nonzero, check_seconds, solver_argv)
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SYNTH_BUDGET = 300.0
@@ -38,29 +39,22 @@ class Settings:
     """The run options.  Option lines, flags and keyword overrides all
     become a Settings, whose check raises ValueError naming the option."""
 
-    domain: str = "integers"
-    nonzero: str = "vector"
+    domain: str = DEFAULT_DOMAIN
+    nonzero: str = NONZERO_VECTOR
     solver: str | None = None
     solve_budget: float = DEFAULT_SOLVE_SECONDS
     synth_budget: float = DEFAULT_SYNTH_BUDGET
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def __post_init__(self):
-        if self.domain not in ("integers", "rationals"):
-            raise ValueError(f"domain must be integers or rationals, not {self.domain!r}")
+        check_domain(self.domain)
         if not (isinstance(self.nonzero, str) and self.nonzero.isidentifier()):
             raise ValueError("nonzero must be vector, none or a coefficient name, "
                              f"not {self.nonzero!r}")
         if self.solver is not None:
-            try:
-                solver_argv(self.solver)
-            except ValueError as exc:
-                raise ValueError(f"solver must be a command line, not {self.solver!r}: "
-                                 f"{exc}") from None
-        for key in ("solve_budget", "synth_budget"):
-            seconds = getattr(self, key)
-            if type(seconds) not in (int, float) or not 0 < seconds < float("inf"):
-                raise ValueError(f"{key} must be finite seconds > 0, not {seconds!r}")
+            solver_argv("solver", self.solver)
+        check_seconds("solve_budget", self.solve_budget)
+        check_seconds("synth_budget", self.synth_budget)
         if type(self.max_rounds) is not int or self.max_rounds < 1:
             raise ValueError(f"rounds must be an integer >= 1, not {self.max_rounds!r}")
 
@@ -99,15 +93,6 @@ def _typed(kind: type, text: str):
         return text
 
 
-def _check_nonzero(nonzero: str, template: LoopTemplate | None) -> None:
-    """Raise ValueError unless the nonzero policy fits the problem: vector
-    and none always do, a coefficient name only a template that has it."""
-    names = () if template is None else template.coefficient_names
-    if nonzero not in ("vector", "none", *names):
-        have = f"have {', '.join(names)}" if names else "a check-form problem has none"
-        raise ValueError(f"nonzero option {nonzero!r} is not a template coefficient ({have})")
-
-
 def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     """doc with the overrides that are not None applied to its settings.
     Settings checks every value and a template the nonzero policy, so a
@@ -115,7 +100,7 @@ def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     kept = {k: v for k, v in overrides.items() if v is not None}
     settings = replace(doc.settings, **kept) if kept else doc.settings
     if not doc.is_concrete:
-        _check_nonzero(settings.nonzero, doc.template)
+        check_nonzero(settings.nonzero, doc.template.coefficient_names)
     return replace(doc, settings=settings)
 
 
@@ -245,7 +230,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     else:
         loop = ConcreteLoop(ctx, init, guard, tuple(updates[n] for n in ctx.names))
     try:
-        _check_nonzero(settings.nonzero, template)
+        check_nonzero(settings.nonzero, template.coefficient_names if template else ())
     except ValueError as exc:
         _fail(str(exc), *nonzero_pos)
     return ProblemDoc(name, spec, template=template, loop=loop, settings=settings)

@@ -29,6 +29,8 @@ from .groebner import buchberger, is_zero_dimensional
 from .polyring import Coeff, Polynomial, as_rational
 from .synthesis import SynthesisSystem
 
+DOMAINS = ("integers", "rationals")
+DEFAULT_DOMAIN = "integers"
 NONZERO_VECTOR = "vector"
 NONZERO_NONE = "none"
 
@@ -46,7 +48,27 @@ class SolverOutputError(RuntimeError):
 
 
 class EnumerationCapError(RuntimeError):
-    """A brute-force box was larger than the configured cap."""
+    """A brute-force box was larger than ENUMERATION_CAP."""
+
+
+# the rules of the solve options; each check raises ValueError naming its option
+def check_domain(domain) -> None:
+    """The coefficient domain is integers or rationals."""
+    if domain not in DOMAINS:
+        raise ValueError(f"domain must be integers or rationals, not {domain!r}")
+
+
+def check_seconds(key: str, value) -> None:
+    """A budget is finite int or float seconds > 0 (a bool is not)."""
+    if type(value) not in (int, float) or not 0 < value < float("inf"):
+        raise ValueError(f"{key} must be finite seconds > 0, not {value!r}")
+
+
+def check_nonzero(policy, names: Sequence[str]) -> None:
+    """The nonzero policy is vector, none or one of the problem's names."""
+    if policy not in (NONZERO_VECTOR, NONZERO_NONE, *names):
+        have = f"have {', '.join(names)}" if names else "the problem has none"
+        raise ValueError(f"nonzero option {policy!r} is not a template coefficient ({have})")
 
 
 @dataclass(frozen=True)
@@ -56,20 +78,14 @@ class SolveRequest:
     name that must be nonzero), and a wall-clock budget in seconds."""
 
     system: SynthesisSystem
-    domain: str = "integers"
+    domain: str = DEFAULT_DOMAIN
     nonzero: str = NONZERO_VECTOR
     budget_seconds: float = DEFAULT_SOLVE_SECONDS
 
     def __post_init__(self):
-        if self.domain not in ("integers", "rationals"):
-            raise ValueError(f"domain must be integers|rationals, not {self.domain!r}")
-        if self.nonzero not in (NONZERO_VECTOR, NONZERO_NONE):
-            if self.nonzero not in self.system.context.names:
-                raise ValueError(
-                    f"nonzero policy {self.nonzero!r} is neither vector|none "
-                    f"nor a coefficient name")
-        if self.budget_seconds <= 0:
-            raise ValueError("budget_seconds must be positive")
+        check_domain(self.domain)
+        check_nonzero(self.nonzero, self.system.context.names)
+        check_seconds("budget_seconds", self.budget_seconds)
 
 
 @dataclass
@@ -260,14 +276,17 @@ def verify_assignment(request: SolveRequest,
 # External solver driver.
 
 
-def solver_argv(command: str) -> list[str]:
+def solver_argv(key: str, command: str) -> list[str]:
     """argv template of a shell-style solver command, where {file} marks
     the script path, alone or inside an argument; it is appended as its own
-    argument when no argument holds it.  ValueError on bad quoting or a
-    blank command."""
-    argv = shlex.split(command)
-    if not argv:
-        raise ValueError("blank command")
+    argument when no argument holds it.  ValueError naming key on bad
+    quoting or a blank command."""
+    try:
+        argv = shlex.split(command)
+        if not argv:
+            raise ValueError("blank command")
+    except ValueError as exc:
+        raise ValueError(f"{key} must be a command line, not {command!r}: {exc}") from None
     return argv if any("{file}" in a for a in argv) else argv + ["{file}"]
 
 
@@ -277,38 +296,48 @@ def discover_solver(configured: str | None = None) -> list[str] | None:
     through solver_argv; otherwise z3/cvc5 on PATH are tried."""
     command = configured or os.environ.get(ENV_SOLVER, "")
     if command.strip():
-        return solver_argv(command)
+        return solver_argv("solver" if configured else ENV_SOLVER, command)
     path = shutil.which("z3") or shutil.which("cvc5")
     return [path, "{file}"] if path else None
 
 
-def run_external_solver(script: str, budget_seconds: float,
-                        command: Sequence[str] | None,
-                        request: SolveRequest) -> SolveOutcome:
-    """Feed the script to an external SMT solver and interpret its stdout.
+def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveOutcome:
+    """Solve the request with an external SMT solver, whose argv template
+    comes from discover_solver (None: no solver was found).
 
-    The status is read from the output stream, never from the exit code.
-    No command means no solver was found.  A timeout maps to unknown.  A
-    sat model is re-verified exactly against the request, and a failing
-    model raises SolverOutputError.
+    An empty system is satisfied by every vector, so a policy-conforming
+    assignment is returned directly without invoking any solver.
+    Otherwise the status is read from the solver's output stream, never
+    from the exit code, and a timeout maps to unknown.  A sat model is
+    re-verified exactly against the request, and a failing model raises
+    SolverOutputError.
     """
+    names = request.system.context.names
+    if not request.system.polys:
+        assignment = dict.fromkeys(names, 0)
+        if request.nonzero == NONZERO_VECTOR and names:
+            assignment[names[0]] = 1
+        elif request.nonzero not in (NONZERO_VECTOR, NONZERO_NONE):
+            assignment[request.nonzero] = 1
+        return SolveOutcome("sat", assignment=assignment,
+                            diagnostics="empty system: every vector is a solution")
     if not command:
         return SolveOutcome("solver-unavailable",
                             diagnostics="no solver configured and none on PATH")
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
-        fh.write(script)
+        fh.write(emit_smtlib(request))
         path = fh.name
     try:
         argv = [a.replace("{file}", path) for a in command]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=min(budget_seconds, MAX_SOLVER_WAIT_SECONDS))
+                                  timeout=min(request.budget_seconds, MAX_SOLVER_WAIT_SECONDS))
         except FileNotFoundError:
             return SolveOutcome("solver-unavailable",
                                 diagnostics=f"cannot execute {argv[0]!r}")
         except subprocess.TimeoutExpired:
             return SolveOutcome("unknown",
-                                diagnostics=f"solver timeout after {budget_seconds:g}s")
+                                diagnostics=f"solver timeout after {request.budget_seconds:g}s")
         transcript = proc.stdout + (("\n[stderr]\n" + proc.stderr) if proc.stderr else "")
         status = None
         rest_lines: list[str] = []
@@ -323,7 +352,6 @@ def run_external_solver(script: str, budget_seconds: float,
                 f"no sat/unsat/unknown in solver output: {transcript[:500]!r}")
         if status != "sat":
             return SolveOutcome(status, diagnostics=transcript)
-        names = request.system.context.names
         assignment = _model_assignment(parse_sexprs("\n".join(rest_lines)), names)
         if not verify_assignment(request, assignment):
             raise SolverOutputError(
@@ -331,27 +359,6 @@ def run_external_solver(script: str, budget_seconds: float,
         return SolveOutcome("sat", assignment=assignment, diagnostics=transcript)
     finally:
         os.unlink(path)
-
-
-def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveOutcome:
-    """End-to-end: emit the script, run the solver command (None: no
-    solver, see discover_solver), verify the model.
-
-    An empty system is satisfied by every vector, so a policy-conforming
-    assignment is returned directly without invoking any solver.
-    """
-    system = request.system
-    if not system.polys:
-        names = system.context.names
-        assignment = dict.fromkeys(names, 0)
-        if request.nonzero == NONZERO_VECTOR and names:
-            assignment[names[0]] = 1
-        elif request.nonzero not in (NONZERO_VECTOR, NONZERO_NONE):
-            assignment[request.nonzero] = 1
-        return SolveOutcome("sat", assignment=assignment,
-                            diagnostics="empty system: every vector is a solution")
-    script = emit_smtlib(request)
-    return run_external_solver(script, request.budget_seconds, command, request)
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +421,19 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
 # Brute-force integer box search.
 
 
-def brute_force_box(system: SynthesisSystem, bound: int,
-                    cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]]:
     """All integer solutions with every coordinate in [-bound, bound],
     in ascending lexicographic order.  Refuses boxes whose total work
-    l * (2*bound+1)^l exceeds the cap."""
+    l * (2*bound+1)^l exceeds ENUMERATION_CAP."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     names = system.context.names
     l = len(names)
     width = 2 * bound + 1
     work = l * width ** l
-    if work > cap:
+    if work > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"box of {width}^{l} points exceeds enumeration cap {cap}")
+            f"box of {width}^{l} points exceeds enumeration cap {ENUMERATION_CAP}")
     compiled = [list(p.terms.items()) for p in system.polys]
     hits = []
     for point in itertools.product(range(-bound, bound + 1), repeat=l):
@@ -458,11 +464,10 @@ def classify_finiteness(system: SynthesisSystem,
     algebraic closure: a basis {1} or a full staircase means finite (the
     empty set counts), a missing pure power means a positive-dimensional
     component, budget exhaustion means unknown."""
-    names = system.context.names
     if not system.polys:
-        return "finite" if not names else "infinite"
+        return "finite" if not system.context.names else "infinite"
     try:
         basis = buchberger(list(system.polys), budget=budget)
     except BudgetExceeded:
         return "unknown"
-    return "finite" if is_zero_dimensional(basis, names) else "infinite"
+    return "finite" if is_zero_dimensional(basis) else "infinite"

@@ -46,6 +46,17 @@ def test_every_export_is_used():
     assert sorted(set(loopsynth.__all__) - exempt - used) == []
 
 
+def test_solve_option_words_live_in_solve():
+    # the domain and nonzero words are spelled only where their rules are
+    words = {"integers", "rationals", "vector", "none"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "loopsynth").glob("*.py"))
+             if path.name != "solve.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in words]
+    assert found == []
+
+
 X = VarContext(("x", "y"))
 Y = VarContext((), ("y1", "y2"))
 TEMPLATE = LoopTemplate(X, (Fraction(4, 2), "1/2"), Polynomial.one(X),

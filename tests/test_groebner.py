@@ -211,12 +211,6 @@ class TestZeroDimensional:
         gb = buchberger([P("x^2"), P("x*y"), P("y^3"), P("z - 1")])
         assert is_zero_dimensional(gb)
 
-    def test_subset_of_variables(self):
-        ctx = VarContext(("u", "v"))
-        gb = buchberger([parse_polynomial("u^2 - 1", ctx)])
-        assert is_zero_dimensional(gb, names=["u"])
-        assert not is_zero_dimensional(gb, names=["u", "v"])
-
 
 # ---------------------------------------------------------------------------
 # Differential tests against sympy (test-only; skipped when it is missing).

@@ -260,6 +260,13 @@ class TestCli:
         assert main(["check", fast_file]) == 1
         assert "gen lines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--emit-smt", "out.smt2"],
+                                       ["--solver", "/nonexistent/solver"]])
+    def test_synth_on_check_file_is_usage_error(self, check_file, flags, capsys):
+        assert main(["synth", check_file, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "synth needs gen lines, this file has update lines (use check)" in err
+
     def test_missing_file(self, capsys):
         assert main(["synth", "/no/such/file.loop"]) == 1
 

@@ -4,13 +4,11 @@ keyword overrides, and every verb's flags are Settings fields it reads."""
 import argparse
 import dataclasses
 import importlib
-import stat
 
 import pytest
 
 from loopsynth import (ParseError, Settings, SolveRequest, SynthesisSystem,
-                       VarContext, emit_smtlib, parse_polynomial, parse_problem,
-                       run_external_solver, run_pipeline)
+                       VarContext, parse_polynomial, parse_problem, run_pipeline)
 from loopsynth.cli import build_parser, main
 from loopsynth.solve import discover_solver
 
@@ -100,6 +98,21 @@ class TestSettings:
         with pytest.raises(ParseError) as exc:
             parse_problem(CHECK + "option nonzero y1\n")
         assert exc.value.line == 6 and "nonzero" in exc.value.message
+
+
+@pytest.mark.parametrize("option, value", [
+    ("domain", "reals"), ("domain", 3), ("seconds", 0), ("seconds", -1.0),
+    ("seconds", float("nan")), ("seconds", float("inf")), ("seconds", True),
+    ("seconds", "5")])
+def test_settings_and_request_reject_the_same_values(option, value):
+    setting, request = {"domain": ("domain", "domain"),
+                        "seconds": ("solve_budget", "budget_seconds")}[option]
+    ctx = VarContext(("y1",))
+    system = SynthesisSystem(ctx, (parse_polynomial("y1 - 1", ctx),), 1, 1)
+    with pytest.raises(ValueError, match=setting):
+        Settings(**{setting: value})
+    with pytest.raises(ValueError, match=request):
+        SolveRequest(system, **{request: value})
 
 
 class TestCliValues:
@@ -237,12 +250,22 @@ class TestSolverDiscovery:
         assert report.solver_status == "solver-unavailable"
         assert calls == ["mine"]
 
-    def test_sat_needs_a_request(self, tmp_path):
-        path = tmp_path / "yes"
-        path.write_text("#!/bin/sh\necho sat\n")
-        path.chmod(path.stat().st_mode | stat.S_IXUSR)
-        ctx = VarContext(("y1",))
-        system = SynthesisSystem(ctx, (parse_polynomial("y1 - 1", ctx),), 1, 1)
-        script = emit_smtlib(SolveRequest(system))
-        with pytest.raises(TypeError):
-            run_external_solver(script, 5, [str(path), "{file}"])
+    @pytest.mark.parametrize("verb", ["synth", "bench"])
+    def test_bad_environment_command_is_usage_error_before_synthesis(
+            self, verb, tmp_path, capsys, monkeypatch, no_synthesis):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        assert main([verb, write(tmp_path, "fast.loop", FAST_SYNTH)]) == 1
+        assert "LOOPSYNTH_SOLVER" in capsys.readouterr().err
+
+    def test_solver_flag_overrides_a_bad_environment_command(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        path = write(tmp_path, "fast.loop", FAST_SYNTH)
+        assert main(["synth", path, "--solver", "/nonexistent/solver"]) == 0
+        assert "solver-unavailable" in capsys.readouterr().out
+
+    def test_pipeline_checks_the_environment_command_first(self, monkeypatch,
+                                                            no_synthesis):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        with pytest.raises(ValueError, match="LOOPSYNTH_SOLVER"):
+            run_pipeline(parse_problem(FAST_SYNTH, name="fast"))

@@ -7,8 +7,8 @@ import pytest
 from loopsynth import (Budget, EnumerationCapError, Polynomial, SolveRequest,
                        SolverOutputError, SynthesisSystem, VarContext,
                        brute_force_box, classify_finiteness, emit_smtlib,
-                       parse_polynomial, parse_sexprs, rational_roots,
-                       run_external_solver, solve, verify_assignment)
+                       parse_polynomial, parse_sexprs, rational_roots, solve,
+                       verify_assignment)
 
 
 def mksys(names, *texts):
@@ -94,8 +94,9 @@ class TestRequestValidation:
             SolveRequest(mksys(("y1",), "y1"), nonzero="q7")
 
     def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            SolveRequest(mksys(("y1",), "y1"), budget_seconds=0)
+        for seconds in (0, float("nan"), float("inf"), True, "5"):
+            with pytest.raises(ValueError, match="budget_seconds"):
+                SolveRequest(mksys(("y1",), "y1"), budget_seconds=seconds)
 
 
 class TestVerifyAssignment:
@@ -120,14 +121,13 @@ class TestExternalSolver:
 
     def setup_method(self):
         self.req = SolveRequest(mksys(("y1", "y2"), "y1 - 2", "y1*y2 - 2"))
-        self.script = emit_smtlib(self.req)
 
     def test_sat_model_verified(self, tmp_path):
         cmd = stub(tmp_path, "good", """
 echo sat
 echo '((define-fun y1 () Int 2) (define-fun y2 () Int 1))'
 """)
-        out = run_external_solver(self.script, 5, [cmd, "{file}"], self.req)
+        out = solve(self.req, [cmd, "{file}"])
         assert out.status == "sat"
         assert out.assignment == {"y1": 2, "y2": 1}
 
@@ -137,7 +137,7 @@ echo sat
 echo '((define-fun y1 () Int 0) (define-fun y2 () Int 0))'
 """)
         with pytest.raises(SolverOutputError):
-            run_external_solver(self.script, 5, [cmd, "{file}"], self.req)
+            solve(self.req, [cmd, "{file}"])
 
     def test_model_value_spellings(self, tmp_path):
         req = SolveRequest(mksys(("y1", "y2", "y3"),
@@ -149,7 +149,7 @@ echo '((define-fun y1 () Real (/ 1 2))'
 echo ' (define-fun y2 () Real (- 3))'
 echo ' (define-fun y3 () Real 0.25))'
 """)
-        out = run_external_solver(emit_smtlib(req), 5, [cmd, "{file}"], req)
+        out = solve(req, [cmd, "{file}"])
         assert out.assignment == {"y1": Fraction(1, 2), "y2": -3,
                                   "y3": Fraction(1, 4)}
 
@@ -160,12 +160,12 @@ echo ' (define-fun y3 () Real 0.25))'
 echo sat
 echo '((define-fun y1 () Int 1))'
 """)
-        out = run_external_solver(emit_smtlib(req), 5, [cmd, "{file}"], req)
+        out = solve(req, [cmd, "{file}"])
         assert out.assignment == {"y1": 1, "y2": 0}
 
     def test_unsat(self, tmp_path):
         cmd = stub(tmp_path, "no", "echo unsat\n")
-        out = run_external_solver(self.script, 5, [cmd, "{file}"], self.req)
+        out = solve(self.req, [cmd, "{file}"])
         assert out.status == "unsat" and out.assignment is None
 
     def test_status_from_stdout_not_exit_code(self, tmp_path):
@@ -174,30 +174,28 @@ echo 'WARNING: something' >&2
 echo unsat
 exit 1
 """)
-        out = run_external_solver(self.script, 5, [cmd, "{file}"], self.req)
+        out = solve(self.req, [cmd, "{file}"])
         assert out.status == "unsat"
 
     def test_garbage_output(self, tmp_path):
         cmd = stub(tmp_path, "garbage", "echo 'segmentation fault'\n")
         with pytest.raises(SolverOutputError):
-            run_external_solver(self.script, 5, [cmd, "{file}"], self.req)
+            solve(self.req, [cmd, "{file}"])
 
     def test_timeout_is_unknown(self, tmp_path):
         cmd = stub(tmp_path, "sleeper", "sleep 5\necho sat\n")
-        out = run_external_solver(self.script, 0.2, [cmd, "{file}"], self.req)
+        out = solve(SolveRequest(self.req.system, budget_seconds=0.2), [cmd, "{file}"])
         assert out.status == "unknown"
         assert "timeout" in out.diagnostics
 
     def test_budget_beyond_the_wait_cap(self, tmp_path):
         # poll() takes an int of milliseconds; 3e6 s does not fit in one
         cmd = stub(tmp_path, "no", "echo unsat\n")
-        out = run_external_solver(self.script, 3e6, [cmd, "{file}"], self.req)
+        out = solve(SolveRequest(self.req.system, budget_seconds=3e6), [cmd, "{file}"])
         assert out.status == "unsat"
 
     def test_missing_binary_is_unavailable(self):
-        out = run_external_solver(self.script, 5,
-                                  ["/nonexistent/bin/solver", "{file}"],
-                                  self.req)
+        out = solve(self.req, ["/nonexistent/bin/solver", "{file}"])
         assert out.status == "solver-unavailable"
 
     def test_solve_empty_system_short_circuits(self):
@@ -276,9 +274,10 @@ class TestBruteForceBox:
         assert hits == [(-2, 2), (-1, 1), (0, 0), (1, -1), (2, -2)]
 
     def test_cap(self):
-        system = mksys(("y1", "y2", "y3"), "y1")
+        # 5 * 41^5 points of work exceed ENUMERATION_CAP
+        system = mksys(("y1", "y2", "y3", "y4", "y5"), "y1")
         with pytest.raises(EnumerationCapError):
-            brute_force_box(system, 10, cap=100)
+            brute_force_box(system, 20)
 
     def test_empty_variety(self):
         assert brute_force_box(mksys(("y1",), "y1^2 + 1"), 5) == []
