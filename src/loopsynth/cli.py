@@ -21,7 +21,7 @@ from .polyring import ParseError
 from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
 from .problemfile import Settings, _resolve, parse_problem
-from .solve import ENV_SOLVER, solver_argv
+from .solve import discover_solver
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,9 +102,8 @@ def _overrides(args) -> dict:
     kept = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
         Settings(**kept)
-        command = os.environ.get(ENV_SOLVER, "")
-        if hasattr(args, "solver") and args.solver is None and command.strip():
-            solver_argv(ENV_SOLVER, command)
+        if hasattr(args, "solver") and args.solver is None:
+            discover_solver()
     except ValueError as exc:
         raise UsageError(str(exc))
     return kept
@@ -192,7 +191,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
                                  f"lines, this file has {lines[fits]} lines (use {fits})")
             if args.command == "synth":
-                report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
+                try:
+                    report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
+                except OSError as exc:
+                    if args.emit_smt is None or exc.filename != args.emit_smt:
+                        raise
+                    raise UsageError(f"cannot write {args.emit_smt}: {exc.strerror}")
             else:
                 report, show = run_check(doc, steps=args.steps), _print_check
             if args.json:
@@ -200,16 +204,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 show(report)
             return _exit_code(report)
-        if args.command == "bench":
-            grid = _parse_grid(args.grid) if args.grid else None
-            reports = run_benchmarks(args.paths, grid=grid, **overrides)
-            text = render_table(reports)
-            print(text, end="")
-            if args.csv:
+        grid = _parse_grid(args.grid) if args.grid else None
+        reports = run_benchmarks(args.paths, grid=grid, **overrides)
+        text = render_table(reports)
+        print(text, end="")
+        if args.csv:
+            try:
                 with open(args.csv, "w") as fh:
                     fh.write(render_csv(reports))
-            return max(map(_exit_code, reports), default=EXIT_OK)  # error > TL > invalid
-        raise UsageError(f"unknown command {args.command!r}")
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.csv}: {exc.strerror}")
+        return max(map(_exit_code, reports), default=EXIT_OK)  # error > TL > invalid
     except UsageError as exc:
         print(f"loopsynth: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -176,8 +176,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     if any(g.total_degree() == 0 for g in gens):
         return unit_basis()
     G = [g.primitive_part(order) for g in gens if g]
-    if not G:
-        return GroebnerBasis(ctx, order, (), ())
     reds = [_reducer(g, order) for g in G]
     lms = [r[0] for r in reds]
 
@@ -244,8 +242,6 @@ def _radical_member(f: Polynomial, basis: GroebnerBasis, budget: Budget | None) 
     r = basis.normal_form(f, budget)
     if r.is_zero:
         return True
-    if not basis.generators:
-        return False  # zero ideal, nonzero f
     if len(r) <= _SQUARE_TERM_CAP and basis.normal_form(r * r, budget).is_zero:
         return True  # f^2 in <S> certainly puts f in the radical
     ctx_t = f.context.with_t()
@@ -255,11 +251,9 @@ def _radical_member(f: Polynomial, basis: GroebnerBasis, budget: Budget | None) 
     return buchberger(gens_t, basis.order, budget).is_unit
 
 
-def in_radical(f: Polynomial, S: Sequence[Polynomial],
-               order: MonomialOrder = DEGREVLEX,
-               budget: Budget | None = None) -> bool:
+def in_radical(f: Polynomial, S: Sequence[Polynomial]) -> bool:
     """Exact membership of f in the radical of <S> (S nonempty)."""
-    return all_in_radical([f], buchberger(S, order, budget), budget)
+    return all_in_radical([f], buchberger(S))
 
 
 def all_in_radical(fs: Sequence[Polynomial], basis: GroebnerBasis,
@@ -276,8 +270,6 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     leading monomials (then only finitely many common zeros exist over the
     algebraic closure)."""
     arity = basis.context.arity
-    if not basis.generators:
-        return arity == 0
     if basis.is_unit:
         return True
     lms = [g.leading_monomial(basis.order) for g in basis.generators]

@@ -204,7 +204,11 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
     """One report per problem file (times the grid cells, when given).
     A file that does not open or parse, a grid cell that does not fit the
     template and an override the problem rejects become invalid rows;
-    budget exhaustion and crashes become TL and error rows."""
+    budget exhaustion and crashes become TL and error rows.  A bad
+    LOOPSYNTH_SOLVER, unless a solver override replaces it, raises
+    ValueError before any file is read."""
+    if overrides.get("solver") is None:
+        discover_solver()
     paths: list[str] = []
     for target in targets:
         paths.extend(collect_problem_files(target))

@@ -17,8 +17,9 @@ format_polynomial is:
     factor   := atom ['^' INT]
     atom     := INT | NAME | '(' expr ')'
 
-Multiplication is always explicit, exponents are nonnegative integers, and
-division is only allowed by a nonzero integer literal (x/2, 3/4*x).
+INT is a run of ASCII digits.  Multiplication is always explicit,
+exponents are nonnegative integers, and division is only allowed by a
+nonzero integer literal (x/2, 3/4*x).
 Printing uses the degrevlex order, largest term first.
 """
 
@@ -257,8 +258,8 @@ class Polynomial:
         i = self.context.index(name)
         return any(e[i] for e in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: DEGREVLEX.key(kv[0]), reverse=True)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if not self.terms:
@@ -392,8 +393,6 @@ class Polynomial:
     def substitute(self, bindings: Mapping[str, object]) -> "Polynomial":
         """Bind some variables to rationals; result lives in the remaining
         sub-context (an empty context when everything is bound)."""
-        if not bindings:
-            return self
         names = self.context.names
         vals: dict[int, Coeff] = {}
         for n, v in bindings.items():
@@ -502,12 +501,12 @@ class Polynomial:
 # Text rendering and parsing (grammar in the module docstring).
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
+def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     names = p.context.names
     out = []
-    for expo, c in p.sorted_terms(order):
+    for expo, c in p.sorted_terms():
         neg = c < 0
         mag = -c if neg else c
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
@@ -548,9 +547,9 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not isdigit(), which takes ² that int() rejects
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield ("int", text[i:j], line, col)
             col += j - i

@@ -332,9 +332,9 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   timeout=min(request.budget_seconds, MAX_SOLVER_WAIT_SECONDS))
-        except FileNotFoundError:
+        except OSError as exc:  # missing, not executable, a directory, ...
             return SolveOutcome("solver-unavailable",
-                                diagnostics=f"cannot execute {argv[0]!r}")
+                                diagnostics=f"cannot execute {argv[0]!r}: {exc.strerror}")
         except subprocess.TimeoutExpired:
             return SolveOutcome("unknown",
                                 diagnostics=f"solver timeout after {request.budget_seconds:g}s")

@@ -165,8 +165,7 @@ class ConcreteLoop:
 
 
 def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                  max_rounds: int = DEFAULT_MAX_ROUNDS,
-                  budget: Budget | None = None) -> list[Polynomial]:
+                  max_rounds: int = DEFAULT_MAX_ROUNDS) -> list[Polynomial]:
     """Defining polynomials of the invariant set of V(g) under the map F.
 
     Returns g followed by the composed batches added before stabilization.
@@ -177,7 +176,7 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
     h = Polynomial.one(g[0].context)
-    return _generators(g, F, h, _invariant_set(g, F, h, max_rounds, budget))
+    return _generators(g, F, h, _invariant_set(g, F, h, max_rounds, None))
 
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],

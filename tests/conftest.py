@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from loopsynth import (ConcreteLoop, InvariantSpec, LoopTemplate, Polynomial,
-                       VarContext, generate_loops, parse_polynomial)
+from loopsynth import (ConcreteLoop, InvariantSpec, LoopTemplate, VarContext,
+                       generate_loops, parse_polynomial)
 
 
 @pytest.fixture(scope="session")

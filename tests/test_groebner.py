@@ -152,6 +152,12 @@ class TestRadical:
     def test_one_not_in_proper_radical(self):
         assert not in_radical(P("1"), [P("x*y - 1")])
 
+    def test_zero_ideal(self):
+        # decided by the square probe and the Rabinowitsch run on [1 - t*f]
+        assert not in_radical(P("x + 1"), [P("0")])
+        assert not in_radical(P("2"), [P("0")])
+        assert in_radical(P("0"), [P("0")])
+
     def test_all_in_radical_batch(self):
         S = buchberger([P("x*y"), P("x*z")])
         assert all_in_radical([P("x^2*y"), P("x^2*z^3")], S)
@@ -203,6 +209,9 @@ class TestZeroDimensional:
 
     def test_positive_dimension(self):
         assert not is_zero_dimensional(buchberger([P("x - y")]))
+
+    def test_zero_ideal_is_not(self):
+        assert not is_zero_dimensional(buchberger([P("0")]))
 
     def test_unit_is_zero_dimensional(self):
         assert is_zero_dimensional(buchberger([P("x"), P("x - 1")]))

@@ -6,9 +6,8 @@ import stat
 
 import pytest
 
-from loopsynth import (BudgetExceeded, ProblemDoc, grid_template, parse_problem,
-                       render_csv, render_table, run_benchmarks, run_check,
-                       run_pipeline)
+from loopsynth import (BudgetExceeded, grid_template, parse_problem, render_csv,
+                       render_table, run_benchmarks, run_check, run_pipeline)
 from loopsynth.cli import main
 
 FAST_SYNTH = """\
@@ -155,6 +154,17 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check(doc)
 
+    def test_simulation_too_short_to_refute(self):
+        # x counts 0, 1, 2, ...; the invariant holds for the first 11 states,
+        # which the 10 simulated steps visit, and fails at x = 11
+        roots = "*".join(f"(x - {k})" for k in range(11))
+        doc = parse_problem(f"vars x\ninit 0\ninvariant {roots}\nupdate x: x + 1\n",
+                            name="eleven")
+        report = run_check(doc)
+        assert report.status == "ok"
+        assert report.verified is False
+        assert report.error == "simulation=True exact=False"
+
 
 class TestGridTemplate:
     def test_structure(self):
@@ -266,6 +276,41 @@ class TestCli:
         assert main(["synth", check_file, *flags]) == 1
         err = capsys.readouterr().err
         assert "synth needs gen lines, this file has update lines (use check)" in err
+
+    def test_non_ascii_digit_is_a_parse_error(self, check_file, tmp_path, capsys):
+        p = tmp_path / "sup.loop"
+        p.write_text("vars x\ninit 0\ninvariant x\nupdate x: x^\u00b2\n")
+        assert main(["check", str(p)]) == 1
+        assert f"{p}:4:13:" in capsys.readouterr().err
+        assert main(["bench", str(p), check_file]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[2].split()[:3] == ["sup", "synth", "invalid"]
+        assert rows[3].split()[:3] == ["sum", "check", "ok"]
+
+    @pytest.mark.parametrize("target", ["plain", "directory"])
+    def test_solver_that_cannot_start_is_unavailable(self, fast_file, tmp_path,
+                                                     target, capsys):
+        solver = tmp_path / target
+        if target == "directory":
+            solver.mkdir()
+        else:
+            solver.write_text("#!/bin/sh\necho unsat\n")
+            solver.chmod(0o644)
+        assert main(["synth", fast_file, "--solver", str(solver)]) == 0
+        assert "solver: solver-unavailable" in capsys.readouterr().out
+
+    def test_unwritable_emit_smt_path_is_usage_error(self, fast_file, tmp_path,
+                                                     capsys):
+        target = tmp_path / "missing" / "out.smt2"
+        assert main(["synth", fast_file, "--emit-smt", str(target)]) == 1
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_unwritable_csv_path_is_usage_error(self, check_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        assert main(["bench", check_file, "--csv", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2].split()[:3] == ["sum", "check", "ok"]
+        assert f"cannot write {target}" in captured.err
 
     def test_missing_file(self, capsys):
         assert main(["synth", "/no/such/file.loop"]) == 1

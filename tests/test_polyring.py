@@ -148,6 +148,10 @@ class TestEvaluateSubstituteCompose:
         assert q.context.names == ("y", "z")
         assert q == parse_polynomial("4*y + z", q.context)
 
+    def test_substitute_nothing_is_the_identity(self):
+        p = P("x^2*y - z/3")
+        assert p.substitute({}) == p
+
     def test_substitute_all_yields_constant(self):
         q = P("x + y + z").substitute({"x": 1, "y": 2, "z": 3})
         assert q == 6

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +137,28 @@ class TestErrors:
         e = self.err("vars x\ninit 1\ninvariant x\ngen x: x, 1\n"
                      "option nonzero y9\n")
         assert "y9" in e.message
+
+
+BENCHMARKS = sorted((Path(__file__).resolve().parent.parent / "benchmarks").glob("*.loop"))
+# printable ASCII plus characters str.isdigit, str.isalpha or str.isspace
+# take that int() or the grammar does not
+MUTATION_CHARS = [chr(c) for c in range(32, 127)] + list("\n\t²³٣½éλ\u00a0")
+
+
+def test_mutated_problem_files_raise_only_parse_errors():
+    """Every one-character edit of a committed problem file either parses
+    or raises ParseError; any other exception would reach the user as a
+    crash without a file position."""
+    rng = random.Random(12)
+    assert len(BENCHMARKS) == 7
+    for path in BENCHMARKS:
+        text = path.read_text()
+        for _ in range(300):
+            i = rng.randrange(len(text) + 1)
+            kind = rng.randrange(3)
+            new = "" if kind == 0 else rng.choice(MUTATION_CHARS)
+            mutant = text[:i] + new + text[i + (kind != 1):]
+            try:
+                parse_problem(mutant)
+            except ParseError:
+                pass

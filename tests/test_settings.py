@@ -8,7 +8,8 @@ import importlib
 import pytest
 
 from loopsynth import (ParseError, Settings, SolveRequest, SynthesisSystem,
-                       VarContext, parse_polynomial, parse_problem, run_pipeline)
+                       VarContext, parse_polynomial, parse_problem, run_benchmarks,
+                       run_pipeline)
 from loopsynth.cli import build_parser, main
 from loopsynth.solve import discover_solver
 
@@ -269,3 +270,12 @@ class TestSolverDiscovery:
         monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
         with pytest.raises(ValueError, match="LOOPSYNTH_SOLVER"):
             run_pipeline(parse_problem(FAST_SYNTH, name="fast"))
+
+    def test_benchmarks_check_the_environment_command_before_any_file(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        with pytest.raises(ValueError, match="LOOPSYNTH_SOLVER"):
+            run_benchmarks([str(tmp_path / "missing.loop")])
+        path = write(tmp_path, "fast.loop", FAST_SYNTH)
+        [report] = run_benchmarks([path], solver="/nonexistent/solver")
+        assert report.solver_status == "solver-unavailable"

@@ -117,8 +117,6 @@ class TestVerifyAssignment:
 
 
 class TestExternalSolver:
-    REQ = None  # set in setup_method to a fresh request
-
     def setup_method(self):
         self.req = SolveRequest(mksys(("y1", "y2"), "y1 - 2", "y1*y2 - 2"))
 
@@ -198,11 +196,29 @@ exit 1
         out = solve(self.req, ["/nonexistent/bin/solver", "{file}"])
         assert out.status == "solver-unavailable"
 
+    @pytest.mark.parametrize("target", ["plain", "directory"])
+    def test_solver_that_cannot_start_is_unavailable(self, tmp_path, target):
+        path = tmp_path / target
+        if target == "directory":
+            path.mkdir()
+        else:
+            path.write_text("#!/bin/sh\necho unsat\n")
+            path.chmod(0o644)
+        out = solve(self.req, [str(path), "{file}"])
+        assert out.status == "solver-unavailable"
+        assert str(path) in out.diagnostics
+
     def test_solve_empty_system_short_circuits(self):
         system = SynthesisSystem(VarContext(("y1", "y2")), (), 0, 1)
         out = solve(SolveRequest(system), command=["/nonexistent", "{file}"])
         assert out.status == "sat"
         assert any(v != 0 for v in out.assignment.values())
+
+    def test_solve_empty_system_under_a_named_coefficient(self):
+        system = SynthesisSystem(VarContext(("y1", "y2")), (), 0, 1)
+        out = solve(SolveRequest(system, nonzero="y2"), command=None)
+        assert out.status == "sat"
+        assert out.assignment == {"y1": 0, "y2": 1}
 
     def test_solve_end_to_end_with_stub(self, tmp_path):
         cmd = stub(tmp_path, "good", """
@@ -289,6 +305,10 @@ class TestClassifyFiniteness:
 
     def test_empty_is_finite(self):
         assert classify_finiteness(mksys(("y1",), "y1", "y1 - 1")) == "finite"
+
+    def test_empty_system(self):
+        assert classify_finiteness(mksys(("y1",))) == "infinite"
+        assert classify_finiteness(mksys(())) == "finite"
 
     def test_line_is_infinite(self):
         assert classify_finiteness(mksys(("y1", "y2"), "y1 - y2")) == "infinite"
