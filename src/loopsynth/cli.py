@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # isdigit() alone takes '²', which int() rejects
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
     return int(text)
 
@@ -140,6 +141,9 @@ def _print_synth(report: RunReport) -> None:
     if report.smt_path:
         print(f"smt: {report.smt_path}")
     print(f"solver: {report.solver_status} ({report.solve_seconds:.2f}s)")
+    if report.solver_status != "sat":
+        for line in report.solver_diagnostics.splitlines():
+            print(f"  {line}")
     if report.assignment is not None:
         pairs = ", ".join(f"{k} = {v}" for k, v in sorted(report.assignment.items()))
         print(f"solution: {pairs}")

@@ -37,7 +37,7 @@ class RunReport:
     """Flat record of one pipeline run (synthesis or check form)."""
 
     name: str
-    mode: str = "synth"               # synth | check
+    mode: str | None = None           # synth | check; None: form unknown
     status: str = "ok"                # ok | TL | invalid | error
     n: int | None = None              # program variables
     m: int | None = None              # invariants
@@ -50,6 +50,7 @@ class RunReport:
     synth_seconds: float | None = None
     solve_seconds: float | None = None
     solver_status: str | None = None  # sat|unsat|unknown|solver-unavailable|NI
+    solver_diagnostics: str = ""      # why, from the solve step
     assignment: dict[str, str] | None = None
     verified: bool | None = None
     error: str | None = None
@@ -78,8 +79,8 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
     settings = doc.settings
     command = discover_solver(settings.solver)
     tpl = doc.template
-    report = RunReport(doc.name, n=tpl.context.arity, m=len(doc.invariants.polys),
-                       l=tpl.coeff_count,
+    report = RunReport(doc.name, mode="synth", n=tpl.context.arity,
+                       m=len(doc.invariants.polys), l=tpl.coeff_count,
                        d=max(g.total_degree() for g in doc.invariants.polys))
     budget = Budget(seconds=settings.synth_budget)
     t0 = time.perf_counter()
@@ -112,6 +113,7 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
     outcome = solve(request, command)
     report.solve_seconds = time.perf_counter() - t0
     report.solver_status = outcome.status
+    report.solver_diagnostics = outcome.diagnostics
     if outcome.status == "sat":
         report.assignment = {k: str(v) for k, v in outcome.assignment.items()}
         _verify(report, instantiate(tpl, outcome.assignment), doc.invariants,
@@ -221,6 +223,7 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
         except (OSError, ParseError) as exc:
             reports.append(RunReport(name, status="invalid", error=str(exc)))
             continue
+        mode = "check" if doc.is_concrete else "synth"
         cells = [None] if not grid or doc.is_concrete else list(grid)
         for cell in cells:
             cell_name = name if cell is None else f"{name}[D={cell[0]},l={cell[1]}]"
@@ -233,13 +236,14 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
                                           settings=doc.settings)
                 cell_doc = _resolve(cell_doc, **overrides)
             except ValueError as exc:
-                reports.append(RunReport(cell_name, status="invalid", error=str(exc)))
+                reports.append(RunReport(cell_name, mode=mode, status="invalid",
+                                         error=str(exc)))
                 continue
             try:
                 report = run_pipeline(cell_doc)
                 report.name = cell_name
             except Exception as exc:  # isolate rows from each other
-                report = RunReport(cell_name, status="error", error=str(exc))
+                report = RunReport(cell_name, mode=mode, status="error", error=str(exc))
             reports.append(report)
     return reports
 

@@ -2,8 +2,8 @@
 
 Three independent routes, kept deliberately separate so they can
 cross-check each other: an SMT-LIB2 back end driven through an external
-solver binary, rational root isolation for univariate members, and a
-brute-force integer box search.
+solver binary, rational root isolation for univariate members, and an
+exhaustive integer box search that binds one coordinate at a time.
 classify_finiteness tells apart finitely and infinitely many solutions
 over the algebraic closure.
 
@@ -14,7 +14,6 @@ rather than being passed along.
 
 from __future__ import annotations
 
-import itertools
 import os
 import shlex
 import shutil
@@ -22,7 +21,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget, BudgetExceeded
 from .groebner import buchberger, is_zero_dimensional
@@ -418,13 +417,65 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force integer box search.
+# Integer box search.
+
+
+def _bind(p: dict, v: int) -> dict:
+    """p with its first coordinate set to v, over the others."""
+    q: dict = {}
+    for expo, c in p.items():
+        key = expo[1:]
+        q[key] = q.get(key, 0) + c * v ** expo[0]
+    return q
+
+
+def _settle(polys: Iterable[dict], box: range) -> tuple[list[dict], Sequence[int]] | None:
+    """Split polynomials over the unbound coordinates, taken in turn,
+    into the candidates of the next coordinate (the box integers that are
+    roots of every one univariate in it) and the others, fewest terms
+    first; zero ones are dropped.  None when a nonzero constant or a
+    univariate one without roots prunes."""
+    rest, values = [], box
+    for q in polys:
+        q = {expo: c for expo, c in q.items() if c}
+        if not q:
+            continue
+        if len(q) == 1 and not any(next(iter(q))):
+            return None
+        if any(any(expo[1:]) for expo in q):
+            rest.append(q)
+            continue
+        coeffs = [0] * (1 + max(expo[0] for expo in q))
+        for expo, c in q.items():
+            coeffs[expo[0]] = c
+        kept = []
+        for x in values:
+            total = 0
+            for c in reversed(coeffs):
+                total = total * x + c
+            if total == 0:
+                kept.append(x)
+        if not kept:
+            return None
+        values = kept
+    return sorted(rest, key=len), values
 
 
 def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]]:
     """All integer solutions with every coordinate in [-bound, bound],
     in ascending lexicographic order.  Refuses boxes whose total work
-    l * (2*bound+1)^l exceeds ENUMERATION_CAP."""
+    l * (2*bound+1)^l exceeds ENUMERATION_CAP; the cap counts the full
+    box, however much of it the search prunes.
+
+    The search binds y1, y2, ... in turn, depth first and each over
+    ascending values.  Binding a coordinate substitutes its value into
+    the polynomials, fewest terms first, and drops those that vanish
+    identically.  A nonzero constant prunes the prefix at once.  A
+    polynomial univariate in the next coordinate is dropped too, and
+    that coordinate then runs only over its integer roots in the box,
+    found by Horner evaluation; no roots also prunes.  A point is a hit
+    once every polynomial has vanished, so each hit is exact.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     names = system.context.names
@@ -434,23 +485,22 @@ def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]
     if work > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"box of {width}^{l} points exceeds enumeration cap {ENUMERATION_CAP}")
-    compiled = [list(p.terms.items()) for p in system.polys]
-    hits = []
-    for point in itertools.product(range(-bound, bound + 1), repeat=l):
-        ok = True
-        for terms in compiled:
-            total = 0
-            for expo, c in terms:
-                v = c
-                for x, e in zip(point, expo):
-                    if e:
-                        v *= x ** e
-                total += v
-            if total != 0:
-                ok = False
-                break
-        if ok:
+    box = range(-bound, bound + 1)
+    hits: list[tuple[int, ...]] = []
+
+    def search(point: tuple[int, ...], polys: list[dict], values: Sequence[int]) -> None:
+        if len(point) == l:
             hits.append(point)
+            return
+        for v in values:
+            settled = _settle((_bind(p, v) for p in polys), box)
+            if settled:
+                search(point + (v,), *settled)
+
+    smallest_first = sorted(system.polys, key=lambda p: len(p.terms))
+    settled = _settle((p.terms for p in smallest_first), box)
+    if settled:
+        search((), *settled)
     return hits
 
 

@@ -231,6 +231,16 @@ class TestRunBenchmarks:
         assert rows[0]["name"] == "fast" and rows[0]["s"] == "2"
         assert rows[1]["mode"] == "check" and rows[1]["verified"] == "True"
 
+    def test_unreadable_file_has_no_mode(self, tmp_path, check_file):
+        broken = tmp_path / "broken.loop"
+        broken.write_text(CHECK.replace("x1 + x2", "x1 +"))
+        reports = run_benchmarks([str(broken), check_file])
+        assert [(r.name, r.mode, r.status) for r in reports] == [
+            ("broken", None, "invalid"), ("sum", "check", "ok")]
+        rows = list(csv.DictReader(io.StringIO(render_csv(reports))))
+        assert [row["mode"] for row in rows] == ["", "check"]
+        assert render_table(reports).splitlines()[2].split()[:3] == ["broken", "-", "invalid"]
+
     def test_table_lists_errors(self, tmp_path):
         broken = tmp_path / "broken.loop"
         broken.write_text("vars\n")
@@ -284,8 +294,39 @@ class TestCli:
         assert f"{p}:4:13:" in capsys.readouterr().err
         assert main(["bench", str(p), check_file]) == 1
         rows = capsys.readouterr().out.splitlines()
-        assert rows[2].split()[:3] == ["sup", "synth", "invalid"]
+        assert rows[2].split()[:3] == ["sup", "-", "invalid"]
         assert rows[3].split()[:3] == ["sum", "check", "ok"]
+
+    def test_non_ascii_steps_is_a_usage_error(self, check_file, capsys):
+        assert main(["check", check_file, "--steps", "\u00b2"]) == 1
+        err = capsys.readouterr().err
+        assert "must be an integer >= 1, not '\u00b2'" in err
+        assert "_positive_int" not in err
+
+    @pytest.mark.parametrize("case, reason", [
+        ("missing", "No such file or directory"),
+        ("unset", "no solver configured and none on PATH"),
+        ("not-executable", "Permission denied"),
+    ])
+    def test_solver_diagnostics_are_shown(self, fast_file, tmp_path, monkeypatch,
+                                          case, reason, capsys):
+        monkeypatch.delenv("LOOPSYNTH_SOLVER", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))  # no z3 or cvc5 to find
+        flags = []
+        if case != "unset":
+            solver = tmp_path / "solver"
+            if case == "not-executable":
+                solver.write_text("#!/bin/sh\necho unsat\n")
+                solver.chmod(0o644)
+            flags = ["--solver", str(solver)]
+        assert main(["synth", fast_file, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("solver: solver-unavailable (0.00s)")
+        assert reason in lines[at + 1] and lines[at + 1].startswith("  ")
+        if case != "unset":
+            assert str(tmp_path / "solver") in lines[at + 1]
+        assert main(["synth", fast_file, *flags, "--json"]) == 0
+        assert reason in json.loads(capsys.readouterr().out)["solver_diagnostics"]
 
     @pytest.mark.parametrize("target", ["plain", "directory"])
     def test_solver_that_cannot_start_is_unavailable(self, fast_file, tmp_path,

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import (Budget, EnumerationCapError, Polynomial, SolveRequest,
                        SolverOutputError, SynthesisSystem, VarContext,
@@ -283,6 +286,43 @@ class TestRationalRoots:
             assert found == expected
 
 
+def box_by_product(system, bound):
+    """Every point of the box tested against every polynomial, in
+    itertools.product order: the reference for the pruned search."""
+    hits = []
+    for point in itertools.product(range(-bound, bound + 1),
+                                   repeat=len(system.context.names)):
+        if all(sum(c * math.prod(x ** e for x, e in zip(point, expo))
+                   for expo, c in p.terms.items()) == 0
+               for p in system.polys):
+            hits.append(point)
+    return hits
+
+
+@st.composite
+def _box_systems(draw):
+    """Small systems with constants, Fraction coefficients, factors
+    (y_i - a) that vanish once a prefix is bound, and polynomials
+    univariate in y1; plus a bound of 0..3."""
+    l = draw(st.integers(0, 4))
+    ctx = VarContext(tuple(f"y{i + 1}" for i in range(l)))
+    coeffs = st.fractions(-3, 3, max_denominator=3)
+    expos = st.tuples(*[st.integers(0, 2)] * l)
+    y1_only = st.tuples(st.integers(0, 3), *[st.just(0)] * (l - 1)) if l else expos
+    polys = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            p = Polynomial(ctx, draw(st.dictionaries(expos, coeffs, max_size=4)))
+        else:
+            p = Polynomial(ctx, draw(st.dictionaries(y1_only, coeffs, min_size=1, max_size=3)))
+        for i in draw(st.lists(st.integers(0, l - 1), max_size=2)) if l else ():
+            unit = tuple(int(j == i) for j in range(l))
+            p = p * Polynomial(ctx, {unit: 1, (0,) * l: -draw(st.integers(-3, 3))})
+        polys.append(p)
+    system = SynthesisSystem(ctx, tuple(polys), q_count=len(polys), rounds=1)
+    return system, draw(st.integers(0, 3))
+
+
 class TestBruteForceBox:
     def test_linear_component_points(self):
         system = mksys(("y1", "y2"), "y1 + y2")
@@ -297,6 +337,29 @@ class TestBruteForceBox:
 
     def test_empty_variety(self):
         assert brute_force_box(mksys(("y1",), "y1^2 + 1"), 5) == []
+
+    @pytest.mark.parametrize("texts, hits", [
+        ((), [()]), (("0",), [()]), (("0", "0"), [()]),
+        (("3",), []), (("0", "-1/2"), []),
+    ])
+    def test_no_variables(self, texts, hits):
+        assert brute_force_box(mksys((), *texts), 2) == hits
+
+    def test_bound_zero(self):
+        assert brute_force_box(mksys(("y1", "y2"), "y1*y2", "y1 + y2"), 0) == [(0, 0)]
+        assert brute_force_box(mksys(("y1", "y2"), "y1*y2 - 1"), 0) == []
+
+    def test_cubic_system_at_bound_three(self, cubic_synthesis):
+        system, _ = cubic_synthesis
+        hits = brute_force_box(system, 3)
+        assert hits == box_by_product(system, 3)
+        assert (-3, 3, 1, -1, 0) in hits
+
+    @settings(max_examples=150, deadline=None)
+    @given(_box_systems())
+    def test_matches_the_full_box_loop(self, case):
+        system, bound = case
+        assert brute_force_box(system, bound) == box_by_product(system, bound)
 
 
 class TestClassifyFiniteness:
