@@ -1,10 +1,11 @@
 """Groebner bases over Q: division, Buchberger's algorithm, membership.
 
-The engine is deliberately plain: normal-strategy pair selection with the
-product and chain criteria, primitive integer generators, and a step
-budget so runaway computations abort with BudgetExceeded instead of
-hanging.  Reduced bases are unique per (ideal, order), so identical inputs
-give identical outputs.
+The engine is deliberately plain: normal-strategy pair selection over the
+pairs that the Gebauer-Moller update keeps (criteria B, M and F and the
+product criterion), division by the active generators only, primitive
+integer generators, and a step budget so runaway computations abort with
+BudgetExceeded instead of hanging.  Reduced bases are unique per (ideal,
+order), so identical inputs give identical outputs.
 
 Division runs on integers.  A divisor is primitive: coprime integer
 coefficients and a positive leading coefficient lc.  It is prepared once
@@ -78,20 +79,27 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _s_pair(ctx: VarContext, ri: tuple, rj: tuple) -> Polynomial:
-    # lcm(lc_i, lc_j) times the S-polynomial of two reducers, over the integers
+def _s_pair(ri: tuple, rj: tuple) -> dict:
+    # lcm(lc_i, lc_j) times the S-polynomial of two reducers, over the
+    # integers, as the terms dict of a Polynomial
     (lmi, lci, ti), (lmj, lcj, tj) = ri, rj
     l = tuple(map(max, lmi, lmj))
     g = gcd(lci, lcj)
-    return Polynomial(ctx, [(tuple(map(add, m, u)), s * c)
-                            for tail, u, s in ((ti, tuple(map(sub, l, lmi)), lcj // g),
-                                               (tj, tuple(map(sub, l, lmj)), -lci // g))
-                            for m, c in tail])
+    ui, uj, si, sj = tuple(map(sub, l, lmi)), tuple(map(sub, l, lmj)), lcj // g, -lci // g
+    terms = {tuple(map(add, m, ui)): si * c for m, c in ti}
+    for m, c in tj:
+        mm = tuple(map(add, m, uj))
+        new = terms.get(mm, 0) + sj * c
+        if new:
+            terms[mm] = new
+        else:
+            del terms[mm]
+    return terms
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     rf, rg = (_reducer(p.primitive_part(order), order) for p in (f, g))
-    return _s_pair(f.context, rf, rg) / lcm(rf[1], rg[1])
+    return f._wrap(_s_pair(rf, rg)) / lcm(rf[1], rg[1])
 
 
 def normal_form(f: Polynomial, gens: Sequence[Polynomial],
@@ -127,7 +135,8 @@ def normal_form(f: Polynomial, gens: Sequence[Polynomial],
             if all(map(le, lm, m)):
                 break
         else:
-            rem[m] = Fraction(c, scale)
+            q, r = divmod(c, scale)
+            rem[m] = Fraction(c, scale) if r else q
             continue
         if budget is not None:
             budget.tick()
@@ -148,17 +157,27 @@ def normal_form(f: Polynomial, gens: Sequence[Polynomial],
                     heapq.heappush(heap, (key(mm), mm))
             else:
                 del work[mm]
-    return Polynomial(f.context, rem)
+    return f._wrap(rem)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
                budget: Budget | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of <gens>.
 
-    Normal strategy (minimal lcm in the order, ties by pair index), product
-    and chain criteria, content division after every reduction, and an early
-    exit to the basis {1} as soon as any reduction produces a nonzero
-    constant.  budget.tick() runs once per treated pair.
+    Normal strategy (minimal lcm in the order, ties by pair index) over the
+    pairs that the Gebauer-Moller update keeps, content division after every
+    reduction, and an early exit to the basis {1} as soon as any reduction
+    produces a nonzero constant.  budget.tick() runs once per treated pair.
+
+    update(h) adds the generator h.  Of the new pairs (g, h) it keeps one
+    per minimal lcm (criteria M and F) and drops those whose leading
+    monomials are coprime (product criterion).  It drops each queued pair
+    (i, j) whose lcm LM(h) divides, unless lcm(i, h) or lcm(j, h) equals it
+    (criterion B).  S-polynomials are reduced by the active generators
+    alone: those whose leading monomial no later one divides.  A queued pair
+    still uses the reducer of a generator that has left the active set.  No
+    active leading monomial divides another, so the active generators of the
+    finished basis are a minimal basis.
     """
     gens = list(gens)
     if not gens:
@@ -175,55 +194,59 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
 
     if any(g.total_degree() == 0 for g in gens):
         return unit_basis()
-    G = [g.primitive_part(order) for g in gens if g]
-    reds = [_reducer(g, order) for g in G]
-    lms = [r[0] for r in reds]
+    G: list[Polynomial] = []
+    reds: list[tuple] = []
+    lms: list[tuple] = []
+    active: list[int] = []  # indices into G, oldest first
+    pq: list = []  # (lcm key, i, j, lcm) per queued pair, i < j
 
-    pq: list = []
-    pending: set[tuple[int, int]] = set()
+    def update(g: Polynomial):
+        h = len(G)
+        G.append(g)
+        reds.append(_reducer(g, order))
+        lm = reds[h][0]
+        lms.append(lm)
+        new = [(i, tuple(map(max, lms[i], lm))) for i in active]
+        kept: list = []  # criteria M and F
+        for n, (i, l) in enumerate(new):
+            if (not any(map(min, lms[i], lm))
+                    or not any(all(map(le, l2, l)) for _, l2 in new[n + 1:] + kept)):
+                kept.append((i, l))
+        pq[:] = [p for p in pq if not all(map(le, lm, p[3]))  # criterion B
+                 or tuple(map(max, lms[p[1]], lm)) == p[3]
+                 or tuple(map(max, lms[p[2]], lm)) == p[3]]
+        heapq.heapify(pq)
+        for i, l in kept:
+            if any(map(min, lms[i], lm)):  # product criterion
+                heapq.heappush(pq, (key(l), i, h, l))
+        active[:] = [i for i in active if not all(map(le, lm, lms[i]))]
+        active.append(h)
 
-    def push_pairs(j: int):
-        for i in range(j):
-            heapq.heappush(pq, (key(tuple(map(max, lms[i], lms[j]))), i, j))
-            pending.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
+    # Largest leading monomial first: a later one then divides no earlier
+    # one unless they are equal, and a remainder has no term that an active
+    # leading monomial divides, so the active leading monomials stay an
+    # antichain and the active generators end as a minimal basis.
+    for g in sorted((g.primitive_part(order) for g in gens if g),
+                    key=lambda g: key(g.leading_monomial(order)), reverse=True):
+        update(g)
     while pq:
-        _, i, j = heapq.heappop(pq)  # each pair is pushed once
-        pending.discard((i, j))
+        _, i, j, _ = heapq.heappop(pq)
         if budget is not None:
             budget.tick()
-        if not any(map(min, lms[i], lms[j])):
-            continue  # product criterion: coprime leading monomials
-        lcm_ij = tuple(map(max, lms[i], lms[j]))
-        if any(k != i and k != j and all(map(le, lms[k], lcm_ij))
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending for k in range(len(G))):
-            continue  # chain criterion: both companion pairs treated
-        r = normal_form(_s_pair(ctx, reds[i], reds[j]), G, order, budget, reds)
+        r = normal_form(G[i]._wrap(_s_pair(reds[i], reds[j])), [G[k] for k in active],
+                        order, budget, [reds[k] for k in active])
         if r.is_zero:
             continue
         if r.total_degree() == 0:
             return unit_basis()
-        r = r.primitive_part(order)
-        G.append(r)
-        reds.append(_reducer(r, order))
-        lms.append(reds[-1][0])
-        push_pairs(len(G) - 1)
+        update(r.primitive_part(order))
 
-    # minimalize: drop generators whose leading monomial another one divides
-    by_key = sorted(range(len(G)), key=lambda i: key(lms[i]))
-    kept: list[int] = []
-    for i in by_key:
-        if not any(all(map(le, lms[k], lms[i])) for k in kept):
-            kept.append(i)
-    basis = [G[i] for i in kept]
-    reds = [reds[i] for i in kept]
+    active.sort(key=lambda k: key(lms[k]))
+    basis = [G[k] for k in active]
+    reds = [reds[k] for k in active]
 
     # interreduce tails: no leading monomial of a minimal basis is
-    # reducible, so they never change (nor does the ascending order of kept),
+    # reducible, so they never change (nor does the ascending order),
     # and one pass leaves no tail term that any of them divides
     for idx in range(len(basis)):
         r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,

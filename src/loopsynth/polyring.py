@@ -193,7 +193,7 @@ class Polynomial:
             expo = tuple(expo)
             if len(expo) != arity:
                 raise ValueError(f"exponent tuple {expo} does not match arity {arity}")
-            if any((not isinstance(e, int)) or e < 0 for e in expo):
+            if any(type(e) is not int or e < 0 for e in expo):  # bool is no exponent
                 raise ValueError(f"exponents must be nonnegative ints: {expo}")
             c = as_rational(c)
             if c:

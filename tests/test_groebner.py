@@ -1,13 +1,16 @@
+import heapq
+import pathlib
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import (Budget, BudgetExceeded, Polynomial, VarContext,
-                       all_in_radical, buchberger, groebner, in_radical,
-                       is_zero_dimensional, normal_form,
-                       parse_polynomial, s_polynomial, DEGREVLEX, LEX)
+                       all_in_radical, buchberger, generate_loops, groebner,
+                       in_radical, is_zero_dimensional, normal_form,
+                       parse_polynomial, parse_problem, s_polynomial, DEGREVLEX, LEX)
 
 CTX = VarContext(("x", "y", "z"))
 
@@ -277,5 +280,128 @@ def test_radical_membership_matches_sympy_rabinowitsch():
         rabinowitsch.append(1 - t * _to_sympy(sympy, f).as_expr())
         theirs = sympy.groebner(rabinowitsch, *gens, order="grevlex", domain="QQ")
         assert in_radical(f, ideal) == (list(theirs.exprs) == [1])
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the Gebauer-Moller update against the plain loop it
+# replaced: product and chain criteria over every pair, division by all of
+# G, then minimalization.  Reduced bases are unique, so both must agree on
+# the generators, their order and their reducers.
+
+def chain_criterion_buchberger(gens, order):
+    """(generators, reducers) of the reduced basis of <gens>."""
+    ctx = gens[0].context
+    key = order.key
+    one = Polynomial.one(ctx)
+    unit = (one,), (groebner._reducer(one, order),)
+    if any(g.total_degree() == 0 for g in gens):
+        return unit
+    G = [g.primitive_part(order) for g in gens if g]
+    reds = [groebner._reducer(g, order) for g in G]
+    lms = [r[0] for r in reds]
+    pq, pending = [], set()
+
+    def push_pairs(j):
+        for i in range(j):
+            heapq.heappush(pq, (key(tuple(map(max, lms[i], lms[j]))), i, j))
+            pending.add((i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
+    while pq:
+        _, i, j = heapq.heappop(pq)
+        pending.discard((i, j))
+        if not any(map(min, lms[i], lms[j])):
+            continue
+        lcm_ij = tuple(map(max, lms[i], lms[j]))
+        if any(k != i and k != j and all(map(le, lms[k], lcm_ij))
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(G))):
+            continue
+        s = G[i]._wrap(groebner._s_pair(reds[i], reds[j]))
+        r = normal_form(s, G, order, None, reds)
+        if r.is_zero:
+            continue
+        if r.total_degree() == 0:
+            return unit
+        r = r.primitive_part(order)
+        G.append(r)
+        reds.append(groebner._reducer(r, order))
+        lms.append(reds[-1][0])
+        push_pairs(len(G) - 1)
+    kept = []
+    for i in sorted(range(len(G)), key=lambda i: key(lms[i])):
+        if not any(all(map(le, lms[k], lms[i])) for k in kept):
+            kept.append(i)
+    basis, reds = [G[i] for i in kept], [reds[i] for i in kept]
+    for idx in range(len(basis)):
+        r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, None,
+                        reds[:idx] + reds[idx + 1:]).primitive_part(order)
+        basis[idx], reds[idx] = r, groebner._reducer(r, order)
+    return tuple(basis), tuple(reds)
+
+
+# generators drawn from a pool of at most two, so duplicates are common;
+# one branch in four is a constant, zero included
+_CONSTANTS = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
+    lambda c: Polynomial.constant(CTX, c))
+_GM_IDEALS = st.lists(st.one_of(_POLYS, _POLYS, _POLYS, _CONSTANTS), min_size=1,
+                      max_size=2).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_gebauer_moller_update_matches_the_chain_criterion_loop(order):
+    @settings(max_examples=80, deadline=None)
+    @given(_GM_IDEALS)
+    def check(ideal):
+        basis = buchberger(ideal, order)
+        assert (basis.generators, basis.reducers) == \
+            chain_criterion_buchberger(ideal, order)
+
+    check()
+
+
+@pytest.mark.parametrize("stem", ["intro_cubic", "perfect_square"])
+def test_gebauer_moller_update_matches_on_synthesis_inputs(stem, monkeypatch):
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / f"{stem}.loop"
+    doc = parse_problem(path.read_text(), name=stem)
+    original = groebner.buchberger
+    seen = []
+
+    def compared(gens, order=DEGREVLEX, budget=None):
+        basis = original(gens, order, budget)
+        assert (basis.generators, basis.reducers) == \
+            chain_criterion_buchberger(list(gens), order)
+        seen.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", compared)
+    generate_loops(doc.template, doc.invariants)
+    assert seen and any(n > 1 for n in seen)
+
+
+def _rational_form(p):
+    # the terms of p, with the type of each coefficient
+    return [(m, type(c), c) for m, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_division_results_are_in_the_checked_form(order):
+    # normal_form and s_polynomial build their results without the checking
+    # constructor; the terms must be what it would have made of them
+    @_DIFFERENTIAL
+    @given(_IDEALS, _POLYS)
+    def check(ideal, f):
+        results = [normal_form(f, ideal, order), buchberger(ideal, order).normal_form(f)]
+        results += [s_polynomial(f, g, order) for g in ideal]
+        for p in results:
+            assert all(c for c in p.terms.values())
+            assert all(len(m) == CTX.arity for m in p.terms)
+            assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                       for c in p.terms.values())
+            assert _rational_form(p) == _rational_form(Polynomial(p.context, p.terms))
 
     check()

@@ -66,6 +66,12 @@ class TestRationalBoundary:
         with pytest.raises(TypeError):
             Polynomial(CTX, {(1, 0, 0): 0.5})
 
+    def test_polynomial_rejects_bool_exponent(self):
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            Polynomial(VarContext(("x", "y")), {(True, 2): 3})
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            Polynomial(VarContext(("x", "y")), {(1, False): 3})
+
 
 class TestArithmetic:
     def test_hand_sum(self):
