@@ -20,7 +20,7 @@ class Budget:
     __slots__ = ("max_steps", "seconds", "steps", "_deadline")
 
     def __init__(self, seconds: float | None = None, max_steps: int | None = None):
-        if seconds is not None and seconds < 0:
+        if seconds is not None and not seconds >= 0:  # NaN compares false
             raise ValueError("seconds must be nonnegative")
         if max_steps is not None and max_steps < 0:
             raise ValueError("max_steps must be nonnegative")

@@ -45,12 +45,18 @@ __all__ = [
 ]
 
 
-def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
-    """(leading monomial, leading coefficient, tail) of a primitive g.
-    Callers holding any other g pass g.primitive_part(order): rescaling a
-    divisor changes no remainder."""
+def _prepared(g: Polynomial, order: MonomialOrder) -> tuple[Polynomial, tuple]:
+    """g.primitive_part(order) and its _reducer triple, from one search for
+    the leading monomial."""
     lm = g.leading_monomial(order)
-    return lm, g.terms[lm], [(m, c) for m, c in g.terms.items() if m != lm]
+    p = g._primitive_at(lm)
+    return p, (lm, p.terms[lm], [(m, c) for m, c in p.terms.items() if m != lm])
+
+
+def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
+    """(leading monomial, leading coefficient, tail) of g.primitive_part(order):
+    rescaling a divisor changes no remainder."""
+    return _prepared(g, order)[1]
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ def _s_pair(ri: tuple, rj: tuple) -> dict:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    rf, rg = (_reducer(p.primitive_part(order), order) for p in (f, g))
+    rf, rg = (_reducer(p, order) for p in (f, g))
     return f._wrap(_s_pair(rf, rg)) / lcm(rf[1], rg[1])
 
 
@@ -111,7 +117,7 @@ def normal_form(f: Polynomial, gens: Sequence[Polynomial],
     reducers, when given, are the _reducer triples of the nonzero gens, in
     order."""
     if reducers is None:
-        reducers = [_reducer(g.primitive_part(order), order) for g in gens if g]
+        reducers = [_reducer(g, order) for g in gens if g]
     # the work is f*scale as a dict of ints, scale the lcm of its denominators
     scale = lcm(*[c.denominator for c in f.terms.values()])
     work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
@@ -200,11 +206,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     active: list[int] = []  # indices into G, oldest first
     pq: list = []  # (lcm key, i, j, lcm) per queued pair, i < j
 
-    def update(g: Polynomial):
+    def update(g: Polynomial, red: tuple):
         h = len(G)
         G.append(g)
-        reds.append(_reducer(g, order))
-        lm = reds[h][0]
+        reds.append(red)
+        lm = red[0]
         lms.append(lm)
         new = [(i, tuple(map(max, lms[i], lm))) for i in active]
         kept: list = []  # criteria M and F
@@ -226,9 +232,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     # one unless they are equal, and a remainder has no term that an active
     # leading monomial divides, so the active leading monomials stay an
     # antichain and the active generators end as a minimal basis.
-    for g in sorted((g.primitive_part(order) for g in gens if g),
-                    key=lambda g: key(g.leading_monomial(order)), reverse=True):
-        update(g)
+    for g, red in sorted((_prepared(g, order) for g in gens if g),
+                         key=lambda gr: key(gr[1][0]), reverse=True):
+        update(g, red)
     while pq:
         _, i, j, _ = heapq.heappop(pq)
         if budget is not None:
@@ -239,7 +245,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
             continue
         if r.total_degree() == 0:
             return unit_basis()
-        update(r.primitive_part(order))
+        update(*_prepared(r, order))
 
     active.sort(key=lambda k: key(lms[k]))
     basis = [G[k] for k in active]
@@ -249,9 +255,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     # reducible, so they never change (nor does the ascending order),
     # and one pass leaves no tail term that any of them divides
     for idx in range(len(basis)):
-        r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
-                        reds[:idx] + reds[idx + 1:]).primitive_part(order)
-        basis[idx], reds[idx] = r, _reducer(r, order)
+        basis[idx], reds[idx] = _prepared(normal_form(
+            basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
+            reds[:idx] + reds[idx + 1:]), order)
     return GroebnerBasis(ctx, order, tuple(basis), tuple(reds))
 
 

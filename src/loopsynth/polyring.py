@@ -7,7 +7,9 @@ variable universe split into blocks: program variables first, then
 coefficient variables, then an optional auxiliary variable, which always
 sits last.  Monomials are dense exponent tuples indexed by that order,
 and polynomials are immutable dicts from exponent tuple to nonzero
-coefficient.
+coefficient.  The checking constructor Polynomial(...) is for input from
+outside.  Ring operations build on two term-dict kernels, _add_into and
+_mul_terms; compose and substitute share one composition kernel.
 
 The text format read by parse_polynomial and produced by str()/
 format_polynomial is:
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]  # the one rational form, as_rational's
@@ -75,6 +79,34 @@ def _int_when_integral(terms: dict, a: Iterable, b: Iterable) -> dict:
     if Fraction in map(type, a) or Fraction in map(type, b):
         return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
     return terms
+
+
+def _add_into(acc: dict, terms: Iterable) -> dict:
+    # acc plus the (monomial, nonzero coefficient) pairs of terms; a sum
+    # that cancels drops its monomial
+    get = acc.get
+    for e, c in terms:
+        s = get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    # the product of two terms dicts, before _int_when_integral
+    acc: dict = {}
+    get = acc.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
 
 
 _IDENT_OK = str.isidentifier
@@ -197,17 +229,10 @@ class Polynomial:
                 raise ValueError(f"exponents must be nonnegative ints: {expo}")
             c = as_rational(c)
             if c:
-                prev = clean.get(expo)
-                if prev is None:
-                    clean[expo] = c
-                else:
-                    s = prev + c
-                    if s:
-                        clean[expo] = s
-                    else:
-                        del clean[expo]
+                _add_into(clean, ((expo, c),))
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
+        # repeated monomials can sum Fractions to an integral one
+        object.__setattr__(self, "terms", _int_when_integral(clean, clean.values(), ()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -274,35 +299,35 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.context == other.context and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Polynomial.constant(self.context, other)
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as that value
+        if self.total_degree() <= 0:
+            return hash(self.terms.get((0,) * self.context.arity, 0))
         return hash((self.context, frozenset(self.terms.items())))
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_context(self, other: "Polynomial"):
+    def _operand(self, other) -> "Polynomial | None":
+        # a number or a Polynomial over this context as a Polynomial
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(self.context, other)
+        if not isinstance(other, Polynomial):
+            return None
         if self.context != other.context:
             raise ContextMismatchError(
                 f"contexts differ: {self.context.names} vs {other.context.names}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.context, other)
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_context(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = terms.get(expo, 0) + c
-            if s:
-                terms[expo] = s
-            else:
-                terms.pop(expo, None)
-        return self._wrap(_int_when_integral(terms, self.terms.values(),
-                                             other.terms.values()))
+        return self._wrap(_int_when_integral(_add_into(dict(self.terms), other.terms.items()),
+                                             self.terms.values(), other.terms.values()))
 
     __radd__ = __add__
 
@@ -310,37 +335,18 @@ class Polynomial:
         return self._wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.context, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c0 = as_rational(other)
-            if not c0:
-                return Polynomial.zero(self.context)
-            return self._wrap(_int_when_integral(
-                {e: c * c0 for e, c in self.terms.items()}, self.terms.values(), (c0,)))
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_context(other)
-        acc: dict = {}
-        get = acc.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return self._wrap(_int_when_integral(acc, self.terms.values(),
-                                             other.terms.values()))
+        return self._wrap(_int_when_integral(_mul_terms(self.terms, other.terms),
+                                             self.terms.values(), other.terms.values()))
 
     __rmul__ = __mul__
 
@@ -353,7 +359,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bool is no exponent
             raise ValueError("polynomial powers take nonnegative int exponents")
         result = Polynomial.one(self.context)
         base = self
@@ -366,9 +372,13 @@ class Polynomial:
         return result
 
     def _wrap(self, terms: dict) -> "Polynomial":
+        return Polynomial._trusted(self.context, terms)
+
+    @staticmethod
+    def _trusted(context: VarContext, terms: dict) -> "Polynomial":
         # Internal: terms already normalized (no zeros, right arity).
         p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "context", self.context)
+        object.__setattr__(p, "context", context)
         object.__setattr__(p, "terms", terms)
         return p
 
@@ -393,28 +403,12 @@ class Polynomial:
     def substitute(self, bindings: Mapping[str, object]) -> "Polynomial":
         """Bind some variables to rationals; result lives in the remaining
         sub-context (an empty context when everything is bound)."""
-        names = self.context.names
-        vals: dict[int, Coeff] = {}
-        for n, v in bindings.items():
-            i = self.context.index(n)
-            vals[i] = as_rational(v)
-        keep = [i for i in range(len(names)) if i not in vals]
-        new_ctx = self.context.restrict(names[i] for i in keep)
-        acc: dict = {}
-        for expo, c in self.terms.items():
-            for i, v in vals.items():
-                e = expo[i]
-                if e:
-                    c = c * v ** e
-            if not c:
-                continue
-            key = tuple(expo[i] for i in keep)
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        return Polynomial(new_ctx, acc)
+        ctx = self.context
+        vals = {ctx.index(n): v for n, v in bindings.items()}
+        new_ctx = ctx.restrict(n for i, n in enumerate(ctx.names) if i not in vals)
+        return self._compose(new_ctx, [
+            (Polynomial.constant(new_ctx, vals[i]) if i in vals
+             else Polynomial.variable(new_ctx, n)).terms for i, n in enumerate(ctx.names)])
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable (one image per context
@@ -426,36 +420,31 @@ class Polynomial:
         if not images:
             raise ValueError("compose is not defined over an empty context")
         tgt = images[0].context
-        for im in images:
-            if im.context != tgt:
-                raise ContextMismatchError("compose images must share one context")
-        powers: list[list[Polynomial]] = [[Polynomial.one(tgt), im] for im in images]
+        if any(im.context != tgt for im in images):
+            raise ContextMismatchError("compose images must share one context")
+        return self._compose(tgt, [im.terms for im in images])
 
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
-            return cache[e]
-
+    def _compose(self, tgt: VarContext, images: list[dict]) -> "Polynomial":
+        # The composition kernel: images[i], a terms dict over tgt, replaces
+        # variable i.  Powers of each image are cached as terms dicts.
+        zero = (0,) * tgt.arity
+        powers = [[{zero: 1}, im] for im in images]
         acc: dict = {}
         for expo, c in self.terms.items():
-            prod = Polynomial.constant(tgt, c)
-            for i, e in enumerate(expo):
+            prod = {zero: c}
+            for cache, im, e in zip(powers, images, expo):
                 if e:
-                    prod = prod * power(i, e)
-            for e2, c2 in prod.terms.items():
-                s = acc.get(e2, 0) + c2
-                if s:
-                    acc[e2] = s
-                else:
-                    acc.pop(e2, None)
-        return Polynomial(tgt, acc)
+                    while len(cache) <= e:
+                        cache.append(_mul_terms(cache[-1], im))
+                    prod = _mul_terms(prod, cache[e])
+            _add_into(acc, prod.items())
+        return Polynomial._trusted(tgt, _int_when_integral(
+            acc, self.terms.values(), chain.from_iterable(im.values() for im in images)))
 
     def extend_context(self, new_context: VarContext) -> "Polynomial":
         """Re-express over a larger context containing all current names."""
-        old = self.context.names
         try:
-            pos = [new_context.index(n) for n in old]
+            pos = [new_context.index(n) for n in self.context.names]
         except KeyError as exc:
             raise ContextMismatchError(str(exc)) from None
         arity = new_context.arity
@@ -465,7 +454,7 @@ class Polynomial:
             for p, e in zip(pos, expo):
                 e2[p] = e
             acc[tuple(e2)] = c
-        return Polynomial(new_context, acc)
+        return Polynomial._trusted(new_context, acc)
 
     # -- normal forms for output --------------------------------------------
 
@@ -478,11 +467,13 @@ class Polynomial:
     def primitive_part(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         """Divide by the content and fix the sign so the leading coefficient
         is positive; integer coefficients with gcd 1 result."""
-        if not self.terms:
-            return self
+        return self._primitive_at(self.leading_monomial(order)) if self.terms else self
+
+    def _primitive_at(self, lm: Monomial) -> "Polynomial":
+        # the primitive part, signed so the coefficient at lm is positive
         c = self.content()
         n, d = c.numerator, c.denominator
-        if self.leading_coefficient(order) < 0:
+        if self.terms[lm] < 0:
             n = -n
         # x / (n/d) in exact integer arithmetic, so the coefficients stay int
         return self._wrap({e: x.numerator * (d // x.denominator) // n
@@ -597,12 +588,10 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        sign = 1
         kind, val, _, _ = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
-        p = self.term() * sign
+        p = -self.term() if kind == "op" and val == "-" else self.term()
         while True:
             kind, val, _, _ = self.peek()
             if kind == "op" and val in "+-":

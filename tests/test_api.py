@@ -57,6 +57,20 @@ def test_solve_option_words_live_in_solve():
     assert found == []
 
 
+def test_ring_maps_build_no_checked_polynomial():
+    # the checking constructor is for outside input; the ring operations and
+    # maps build their results from terms that are already in normal form
+    ring_ops = {"__add__", "__mul__", "compose", "_compose", "substitute", "extend_context"}
+    tree = ast.parse((ROOT / "src" / "loopsynth" / "polyring.py").read_text())
+    defs = [fn for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in ring_ops]
+    assert sorted(fn.name for fn in defs) == sorted(ring_ops)
+    found = [f"{fn.name}:{node.lineno}" for fn in defs for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Polynomial"]
+    assert found == []
+
+
 X = VarContext(("x", "y"))
 Y = VarContext((), ("y1", "y2"))
 TEMPLATE = LoopTemplate(X, (Fraction(4, 2), "1/2"), Polynomial.one(X),

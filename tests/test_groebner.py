@@ -98,6 +98,12 @@ class TestBuchberger:
         with pytest.raises(BudgetExceeded):
             buchberger(gens, DEGREVLEX, Budget(max_steps=2))
 
+    @pytest.mark.parametrize("seconds", [-1, float("nan")])
+    def test_budget_rejects_a_deadline_that_cannot_trip(self, seconds):
+        # a NaN deadline compares false with every clock reading
+        with pytest.raises(ValueError, match="seconds"):
+            Budget(seconds=seconds)
+
 
 def random_ideals(seed, count):
     # nonzero ideals of up to three sparse polynomials, some with fractions

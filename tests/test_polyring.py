@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import (ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial,
@@ -66,6 +67,16 @@ class TestRationalBoundary:
         with pytest.raises(TypeError):
             Polynomial(CTX, {(1, 0, 0): 0.5})
 
+    def test_repeated_monomials_sum_to_the_one_form(self):
+        p = Polynomial(CTX, [((1, 0, 0), Fraction(1, 2)), ((1, 0, 0), Fraction(1, 2))])
+        assert p.terms == {(1, 0, 0): 1} and type(p.terms[(1, 0, 0)]) is int
+
+    def test_bool_is_no_operand(self):
+        p = P("1")
+        assert not p == True and p != True and True not in [p] and p not in [True]
+        with pytest.raises(ValueError):
+            P("x") ** True
+
     def test_polynomial_rejects_bool_exponent(self):
         with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
             Polynomial(VarContext(("x", "y")), {(True, 2): 3})
@@ -119,6 +130,13 @@ class TestArithmetic:
         other = VarContext(("x", "y"))
         with pytest.raises(ContextMismatchError):
             P("x") + parse_polynomial("x", other)
+
+    def test_a_constant_hashes_as_its_value(self):
+        # equal objects hash equal, and a constant polynomial equals its value
+        for c in (3, Fraction(-1, 2), 0):
+            p = Polynomial.constant(CTX, c)
+            assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+        assert len({P("x + 1"), P("x + 1"), P("x")}) == 2
 
     def test_immutable(self):
         p = P("x")
@@ -302,3 +320,109 @@ class TestRingAxioms:
             assert a + Polynomial.zero(CTX) == a
             assert a * Polynomial.one(CTX) == a
             assert a - a == Polynomial.zero(CTX)
+
+
+# Reference implementations of substitute, compose and extend_context: direct
+# loops over the terms that end in the checking constructor.  The ring maps must
+# give the same terms, in the one rational form.
+
+def _old_substitute(p, bindings):
+    names = p.context.names
+    vals = {}
+    for n, v in bindings.items():
+        vals[p.context.index(n)] = as_rational(v)
+    keep = [i for i in range(len(names)) if i not in vals]
+    new_ctx = p.context.restrict(names[i] for i in keep)
+    acc = {}
+    for expo, c in p.terms.items():
+        for i, v in vals.items():
+            if expo[i]:
+                c = c * v ** expo[i]
+        if not c:
+            continue
+        key = tuple(expo[i] for i in keep)
+        s = acc.get(key, 0) + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return Polynomial(new_ctx, acc)
+
+
+def _old_compose(p, images):
+    tgt = images[0].context
+    powers = [[Polynomial.one(tgt), im] for im in images]
+    acc = {}
+    for expo, c in p.terms.items():
+        prod = Polynomial.constant(tgt, c)
+        for i, e in enumerate(expo):
+            if e:
+                while len(powers[i]) <= e:
+                    powers[i].append(powers[i][-1] * images[i])
+                prod = prod * powers[i][e]
+        for e2, c2 in prod.terms.items():
+            s = acc.get(e2, 0) + c2
+            if s:
+                acc[e2] = s
+            else:
+                acc.pop(e2, None)
+    return Polynomial(tgt, acc)
+
+
+def _old_extend_context(p, new_context):
+    pos = [new_context.index(n) for n in p.context.names]
+    acc = {}
+    for expo, c in p.terms.items():
+        e2 = [0] * new_context.arity
+        for i, e in zip(pos, expo):
+            e2[i] = e
+        acc[tuple(e2)] = c
+    return Polynomial(new_context, acc)
+
+
+def _same_in_one_form(new, old):
+    assert new.context == old.context and new.terms == old.terms
+    for c in new.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), new.terms
+
+
+SRC = VarContext(("x", "y"), ("u", "v"))
+TGT = VarContext(("a", "b"))
+BIG = VarContext(("y", "w", "x"), ("v", "u"), "t")
+_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_VALUES = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), "3/4"])
+
+
+def _polys(ctx, max_terms, max_exp):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * ctx.arity), _COEFFS,
+                           max_size=max_terms).map(lambda t: Polynomial(ctx, t))
+
+
+class TestRingMapsAgreeWithTheOldLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(_polys(SRC, 8, 3), st.dictionaries(st.sampled_from(SRC.names), _VALUES))
+    def test_substitute(self, p, bindings):
+        _same_in_one_form(p.substitute(bindings), _old_substitute(p, bindings))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys(SRC, 6, 3), st.lists(_polys(TGT, 3, 2), min_size=4, max_size=4))
+    def test_compose(self, p, images):
+        _same_in_one_form(p.compose(images), _old_compose(p, images))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_polys(SRC, 8, 3))
+    def test_extend_context(self, p):
+        _same_in_one_form(p.extend_context(BIG), _old_extend_context(p, BIG))
+
+    def test_the_empty_context(self):
+        p = Polynomial.constant(VarContext(()), Fraction(3, 2))
+        _same_in_one_form(p.substitute({}), _old_substitute(p, {}))
+        _same_in_one_form(p.extend_context(CTX), _old_extend_context(p, CTX))
+
+    def test_unknown_binding_name(self):
+        with pytest.raises(KeyError):
+            P("x + y").substitute({"q": 1})
+
+    def test_extend_into_a_context_that_lacks_a_name(self):
+        with pytest.raises(ContextMismatchError):
+            P("x + z").extend_context(VarContext(("x", "y")))
