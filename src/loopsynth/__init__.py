@@ -16,10 +16,10 @@ from .groebner import (GroebnerBasis, all_in_radical, buchberger, in_radical,
 from .synthesis import (ConcreteLoop, InvariantSpec, LoopTemplate,
                         SynthesisSystem, build_augmented_map, check_invariants,
                         generate_loops, instantiate, invariant_set, simulate)
-from .solve import (EnumerationCapError, SolveOutcome, SolveRequest,
-                    SolverOutputError, brute_force_box, classify_finiteness,
-                    discover_solver, emit_smtlib, parse_sexprs, rational_roots,
-                    solve, verify_assignment)
+from .solve import (SolveOutcome, SolveRequest, SolverOutputError,
+                    brute_force_box, classify_finiteness, discover_solver,
+                    emit_smtlib, parse_sexprs, rational_roots, solve,
+                    verify_assignment)
 from .problemfile import ProblemDoc, Settings, parse_problem
 from .pipeline import (RunReport, grid_template, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
@@ -36,8 +36,8 @@ __all__ = [
     "ConcreteLoop", "InvariantSpec", "LoopTemplate", "SynthesisSystem",
     "build_augmented_map", "check_invariants", "generate_loops",
     "instantiate", "invariant_set", "simulate",
-    "EnumerationCapError", "SolveOutcome", "SolveRequest",
-    "SolverOutputError", "brute_force_box", "classify_finiteness",
+    "SolveOutcome", "SolveRequest", "SolverOutputError",
+    "brute_force_box", "classify_finiteness",
     "discover_solver", "emit_smtlib", "parse_sexprs", "rational_roots",
     "solve", "verify_assignment",
     "ProblemDoc", "Settings", "parse_problem",

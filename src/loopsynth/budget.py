@@ -13,8 +13,9 @@ class Budget:
     """Tracks a step count and an optional deadline.
 
     Long-running algorithms call tick() at natural unit-of-work boundaries
-    (one S-pair, one reduction, one round) and abort with BudgetExceeded
-    instead of running away.  A Budget with no limits never trips.
+    (one S-pair, one reduction, one round; tick(n) counts n units) and
+    abort with BudgetExceeded instead of running away.  A Budget with no
+    limits never trips.
     """
 
     __slots__ = ("max_steps", "seconds", "steps", "_deadline")
@@ -29,8 +30,8 @@ class Budget:
         self.steps = 0
         self._deadline = None if seconds is None else time.monotonic() + seconds
 
-    def tick(self) -> None:
-        self.steps += 1
+    def tick(self, n: int = 1) -> None:
+        self.steps += n
         if self.max_steps is not None and self.steps > self.max_steps:
             raise BudgetExceeded(f"step budget exceeded ({self.max_steps} steps)")
         if self._deadline is not None and time.monotonic() > self._deadline:

@@ -301,7 +301,7 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     arity = basis.context.arity
     if basis.is_unit:
         return True
-    lms = [g.leading_monomial(basis.order) for g in basis.generators]
+    lms = [lm for lm, _, _ in basis.reducers]
     for i in range(arity):
         if not any(lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i)
                    for lm in lms):

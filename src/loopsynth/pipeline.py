@@ -70,10 +70,12 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
                  **overrides) -> RunReport:
     """Synthesis pipeline for one problem; check-form docs are delegated to
     run_check.  The other keywords are Settings fields overriding the
-    file's options; a bad value, or a bad LOOPSYNTH_SOLVER, raises
-    ValueError before any work starts."""
+    file's options; a bad value, a bad LOOPSYNTH_SOLVER, or emit_smt on a
+    check-form doc raises ValueError before any work starts."""
     doc = _resolve(doc, **overrides)
     if doc.is_concrete:
+        if emit_smt is not None:
+            raise ValueError("emit_smt needs a synthesis-form problem")
         return run_check(doc)
 
     settings = doc.settings

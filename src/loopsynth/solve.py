@@ -3,7 +3,8 @@
 Three independent routes, kept deliberately separate so they can
 cross-check each other: an SMT-LIB2 back end driven through an external
 solver binary, rational root isolation for univariate members, and an
-exhaustive integer box search that binds one coordinate at a time.
+exhaustive integer box search that binds one coordinate at a time and
+raises BudgetExceeded past ENUMERATION_CAP steps.
 classify_finiteness tells apart finitely and infinitely many solutions
 over the algebraic closure.
 
@@ -44,10 +45,6 @@ ENUMERATION_CAP = 2_000_000
 
 class SolverOutputError(RuntimeError):
     """The external solver produced no status or an unusable model."""
-
-
-class EnumerationCapError(RuntimeError):
-    """A brute-force box was larger than ENUMERATION_CAP."""
 
 
 # the rules of the solve options; each check raises ValueError naming its option
@@ -429,12 +426,14 @@ def _bind(p: dict, v: int) -> dict:
     return q
 
 
-def _settle(polys: Iterable[dict], box: range) -> tuple[list[dict], Sequence[int]] | None:
+def _settle(polys: Iterable[dict], box: range,
+            budget: Budget) -> tuple[list[dict], Sequence[int]] | None:
     """Split polynomials over the unbound coordinates, taken in turn,
     into the candidates of the next coordinate (the box integers that are
     roots of every one univariate in it) and the others, fewest terms
     first; zero ones are dropped.  None when a nonzero constant or a
-    univariate one without roots prunes."""
+    univariate one without roots prunes.  Each candidate tested against a
+    univariate is one budget step."""
     rest, values = [], box
     for q in polys:
         q = {expo: c for expo, c in q.items() if c}
@@ -448,6 +447,7 @@ def _settle(polys: Iterable[dict], box: range) -> tuple[list[dict], Sequence[int
         coeffs = [0] * (1 + max(expo[0] for expo in q))
         for expo, c in q.items():
             coeffs[expo[0]] = c
+        budget.tick(len(values))
         kept = []
         for x in values:
             total = 0
@@ -463,9 +463,9 @@ def _settle(polys: Iterable[dict], box: range) -> tuple[list[dict], Sequence[int
 
 def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]]:
     """All integer solutions with every coordinate in [-bound, bound],
-    in ascending lexicographic order.  Refuses boxes whose total work
-    l * (2*bound+1)^l exceeds ENUMERATION_CAP; the cap counts the full
-    box, however much of it the search prunes.
+    in ascending lexicographic order.  Raises BudgetExceeded once the
+    search takes more than ENUMERATION_CAP steps: a step is a value tried
+    for a coordinate, or a box value tested against a univariate.
 
     The search binds y1, y2, ... in turn, depth first and each over
     ascending values.  Binding a coordinate substitutes its value into
@@ -476,16 +476,11 @@ def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]
     found by Horner evaluation; no roots also prunes.  A point is a hit
     once every polynomial has vanished, so each hit is exact.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    names = system.context.names
-    l = len(names)
-    width = 2 * bound + 1
-    work = l * width ** l
-    if work > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"box of {width}^{l} points exceeds enumeration cap {ENUMERATION_CAP}")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be an integer >= 0, not {bound!r}")
+    l = len(system.context.names)
     box = range(-bound, bound + 1)
+    budget = Budget(max_steps=ENUMERATION_CAP)
     hits: list[tuple[int, ...]] = []
 
     def search(point: tuple[int, ...], polys: list[dict], values: Sequence[int]) -> None:
@@ -493,12 +488,13 @@ def brute_force_box(system: SynthesisSystem, bound: int) -> list[tuple[int, ...]
             hits.append(point)
             return
         for v in values:
-            settled = _settle((_bind(p, v) for p in polys), box)
+            budget.tick()
+            settled = _settle((_bind(p, v) for p in polys), box, budget)
             if settled:
                 search(point + (v,), *settled)
 
     smallest_first = sorted(system.polys, key=lambda p: len(p.terms))
-    settled = _settle((p.terms for p in smallest_first), box)
+    settled = _settle((p.terms for p in smallest_first), box, budget)
     if settled:
         search((), *settled)
     return hits

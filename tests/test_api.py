@@ -1,4 +1,5 @@
 import ast
+import builtins
 import pathlib
 import re
 from fractions import Fraction
@@ -55,6 +56,24 @@ def test_solve_option_words_live_in_solve():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and node.value in words]
     assert found == []
+
+
+def test_one_exception_per_kind_of_failure():
+    # a new work limit raises BudgetExceeded rather than a class of its own
+    classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+               for path in (ROOT / "src" / "loopsynth").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, classes.get(name, ())))
+
+    assert sorted(filter(is_exception, classes)) == [
+        "BudgetExceeded", "ContextMismatchError", "ParseError",
+        "SolverOutputError", "UsageError"]
 
 
 def test_ring_maps_build_no_checked_polynomial():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import (Budget, EnumerationCapError, Polynomial, SolveRequest,
+from loopsynth import (Budget, BudgetExceeded, Polynomial, SolveRequest,
                        SolverOutputError, SynthesisSystem, VarContext,
                        brute_force_box, classify_finiteness, emit_smtlib,
                        parse_polynomial, parse_sexprs, rational_roots, solve,
@@ -329,11 +330,32 @@ class TestBruteForceBox:
         hits = brute_force_box(system, 2)
         assert hits == [(-2, 2), (-1, 1), (0, 0), (1, -1), (2, -2)]
 
-    def test_cap(self):
-        # 5 * 41^5 points of work exceed ENUMERATION_CAP
-        system = mksys(("y1", "y2", "y3", "y4", "y5"), "y1")
-        with pytest.raises(EnumerationCapError):
+    def test_cap(self, monkeypatch):
+        # the cap counts steps, not the 3 * 41^3 points of the full box: 41
+        # Horner tests for each of y1, y2, y3 plus one step per value tried
+        system = mksys(("y1", "y2", "y3"), "y1 - 1", "y2 + 2", "y3")
+        solve_module = importlib.import_module("loopsynth.solve")
+        monkeypatch.setattr(solve_module, "ENUMERATION_CAP", 126)
+        assert brute_force_box(system, 20) == [(1, -2, 0)]
+        monkeypatch.setattr(solve_module, "ENUMERATION_CAP", 125)
+        with pytest.raises(BudgetExceeded):
             brute_force_box(system, 20)
+
+    @pytest.mark.parametrize("bound", [-1, True, 2.0, "2", None])
+    def test_bound_is_an_integer_at_least_zero(self, bound):
+        with pytest.raises(ValueError, match="bound must be an integer >= 0"):
+            brute_force_box(mksys(("y1",), "y1"), bound)
+
+    def test_cubic_system_at_bound_eight(self, cubic_synthesis):
+        # a full box of 5 * 17^5 points; the staged search takes about 106k steps
+        system, _ = cubic_synthesis
+        hits = brute_force_box(system, 8)
+        assert len(hits) == 801
+        for hit in hits:
+            point = dict(zip(system.context.names, hit))
+            assert all(p.evaluate(point) == 0 for p in system.polys)
+        inner = [h for h in hits if all(abs(v) <= 5 for v in h)]
+        assert inner == brute_force_box(system, 5)
 
     def test_empty_variety(self):
         assert brute_force_box(mksys(("y1",), "y1^2 + 1"), 5) == []
