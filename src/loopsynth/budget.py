@@ -21,10 +21,11 @@ class Budget:
     __slots__ = ("max_steps", "seconds", "steps", "_deadline")
 
     def __init__(self, seconds: float | None = None, max_steps: int | None = None):
-        if seconds is not None and not seconds >= 0:  # NaN compares false
-            raise ValueError("seconds must be nonnegative")
-        if max_steps is not None and max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
+        # NaN compares false; a bool is no number of seconds or steps
+        if seconds is not None and (type(seconds) is bool or not seconds >= 0):
+            raise ValueError(f"seconds must be a number >= 0, not {seconds!r}")
+        if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
+            raise ValueError(f"max_steps must be an integer >= 0, not {max_steps!r}")
         self.seconds = seconds
         self.max_steps = max_steps
         self.steps = 0

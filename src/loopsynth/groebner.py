@@ -14,11 +14,23 @@ that buchberger prepared for its generators.  The work polynomial is a
 dict of ints over one common scale: a term c*m is cancelled after
 multiplying the work by lc/gcd(c, lc) when that is not 1, and remainder
 terms are divided by the scale as they leave, so the remainder is exact.
-Under degrevlex the heap key of a monomial e in n variables is one int,
-sum e_i*(W^i - W^n) for W = 2^bitlen(deg f): the negated order key read in
-base W.  It orders like the tuple key while every exponent is below W,
-which holds as division under a degree-compatible order makes no term of
-degree above deg f.
+
+Division packs each monomial e in n variables into one int,
+K(e) = sum e_i*2^(w*i) - 2^(w*n)*L(e), with L(e) the total degree under
+degrevlex and sum e_i*2^(w*(n-1-i)) under lex.  K is linear, so a product
+of monomials is a sum of ints.  While every exponent is below 2^(w-1),
+K(m) < K(m') iff m is the larger monomial, the bits of K below w*n are the
+w-bit fields e_i, and m divides m' iff K(m') - K(m) has no field's top
+bit set (the lowest negative field difference borrows into its own top
+bit).  The width w is bitlen(bound) + 1 for a bound on every exponent that
+division meets.  Under degrevlex the bound is the largest degree of f and
+of the divisors: division under a degree-compatible order makes no term of
+degree above deg f.  Under lex, let D be the largest divisor degree and
+omega_i = (D+1)^(n-1-i).  A divisor's leading monomial outweighs each of
+its tail terms under omega: where they first differ, at i, it gains at
+least omega_i, more than the sum of D*omega_j over j > i that the tail
+can give back.  So no reduction raises the largest omega-degree of the
+work, and the bound is the larger of D and that omega-degree of f.
 
 Radical membership uses the auxiliary-variable trick: f lies in the
 radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  One
@@ -30,9 +42,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, sub
 from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
@@ -45,18 +58,44 @@ __all__ = [
 ]
 
 
-def _prepared(g: Polynomial, order: MonomialOrder) -> tuple[Polynomial, tuple]:
+class _Divisor(tuple):
+    """The _reducer triple (leading monomial, lc, tail) of a primitive
+    divisor.  degree is its largest term degree, and packed maps a field
+    width to the tail with packed monomials, under the order the divisor
+    was prepared for.  Tuple equality sees the triple alone."""
+
+
+def _prepared(g: Polynomial, order: MonomialOrder) -> tuple[Polynomial, _Divisor]:
     """g.primitive_part(order) and its _reducer triple, from one search for
     the leading monomial."""
     lm = g.leading_monomial(order)
     p = g._primitive_at(lm)
-    return p, (lm, p.terms[lm], [(m, c) for m, c in p.terms.items() if m != lm])
+    d = _Divisor((lm, p.terms[lm], [(m, c) for m, c in p.terms.items() if m != lm]))
+    # a degree-compatible order leads with a term of top degree
+    d.degree = sum(lm) if order.kind == "degrevlex" else p.total_degree()
+    d.packed = {}
+    return p, d
 
 
-def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
+def _reducer(g: Polynomial, order: MonomialOrder) -> _Divisor:
     """(leading monomial, leading coefficient, tail) of g.primitive_part(order):
     rescaling a divisor changes no remainder."""
     return _prepared(g, order)[1]
+
+
+@cache
+def _layout(n: int, w: int, kind: str) -> tuple:
+    """(weights, guard, shifts, field mask) of the packed encoding of the
+    module docstring: K(e) = sum(map(mul, e, weights))."""
+    top = w * n
+    if kind == "degrevlex":
+        weights = tuple((1 << w * i) - (1 << top) for i in range(n))
+    elif kind == "lex":
+        weights = tuple((1 << w * i) - (1 << top + w * (n - 1 - i)) for i in range(n))
+    else:
+        raise ValueError(f"unknown order kind {kind!r}")
+    shifts = range(0, top, w)
+    return weights, sum(1 << s + w - 1 for s in shifts), shifts, (1 << w) - 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +115,8 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0].total_degree() == 0
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
+        if f.context != self.context:
+            raise ContextMismatchError("f must share the context of the basis")
         return normal_form(f, self.generators, self.order, budget, self.reducers)
 
     def __iter__(self):
@@ -104,65 +145,84 @@ def _s_pair(ri: tuple, rj: tuple) -> dict:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    if f.context != g.context:
+        raise ContextMismatchError("f and g must share one context")
     rf, rg = (_reducer(p, order) for p in (f, g))
     return f._wrap(_s_pair(rf, rg)) / lcm(rf[1], rg[1])
 
 
 def normal_form(f: Polynomial, gens: Sequence[Polynomial],
                 order: MonomialOrder = DEGREVLEX, budget: Budget | None = None,
-                reducers: Sequence[tuple] | None = None) -> Polynomial:
+                reducers: Sequence[_Divisor] | None = None) -> Polynomial:
     """Remainder of f on full division by gens; zero iff f is in the ideal
     when gens is a Groebner basis.  The first divisor in list order whose
     leading monomial divides wins, so the result is deterministic.
     reducers, when given, are the _reducer triples of the nonzero gens, in
-    order."""
+    order.  Monomials are packed ints whose width bounds every exponent that
+    division meets (module docstring); the remainder's terms come out in
+    descending order."""
+    ctx = f.context
+    for g in gens:
+        if g.context is not ctx and g.context != ctx:  # `is` first: it is cheap
+            raise ContextMismatchError("divisors must share the context of f")
     if reducers is None:
         reducers = [_reducer(g, order) for g in gens if g]
+    n = ctx.arity
+    dmax = max([r.degree for r in reducers], default=0)
+    if order.kind == "degrevlex":
+        bound = max([dmax, *map(sum, f.terms)])
+    else:  # the largest omega-degree of f's terms
+        omega = [(dmax + 1) ** (n - 1 - i) for i in range(n)]
+        bound = max([dmax, *[sum(map(mul, m, omega)) for m in f.terms]])
+    w = bound.bit_length() + 1
+    weights, guard, shifts, field_mask = _layout(n, w, order.kind)
+    divisors = [(sum(map(mul, r[0], weights)), r) for r in reducers]
     # the work is f*scale as a dict of ints, scale the lcm of its denominators
     scale = lcm(*[c.denominator for c in f.terms.values()])
-    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    monomials = {sum(map(mul, m, weights)): m for m in f.terms}
+    work = dict(zip(monomials, [c.numerator * (scale // c.denominator)
+                                for c in f.terms.values()]))
     get = work.get
-    if order.kind == "degrevlex":  # the int key of the module docstring
-        n = f.context.arity
-        width = 1 << f.total_degree().bit_length()
-        weights = [width ** i - width ** n for i in range(n)]
-        key = lambda e: sum(map(mul, e, weights))
-    else:
-        key = lambda e, order_key=order.key: tuple(map(neg, order_key(e)))
-    heap = [(key(m), m) for m in work]
+    heap = list(work)  # a min-heap pops the largest monomial first
     heapq.heapify(heap)
     rem: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, 0)
+        k = heapq.heappop(heap)
+        c = work.pop(k, 0)
         if not c:
             continue
-        for lm, lc, tail in reducers:
-            if all(map(le, lm, m)):
+        for klm, d in divisors:
+            if not (k - klm) & guard:
                 break
         else:
             q, r = divmod(c, scale)
+            # most remainder terms are f's own; the others are decoded
+            m = monomials.get(k) or tuple([k >> s & field_mask for s in shifts])
             rem[m] = Fraction(c, scale) if r else q
             continue
         if budget is not None:
             budget.tick()
+        lc = d[1]
+        packed = d.packed.get(w)
+        if packed is None:  # packed on first use: many divisors never reduce
+            packed = d.packed[w] = [(sum(map(mul, m, weights)), c2) for m, c2 in d[2]]
         g = gcd(c, lc)
         if lc != g:  # scale the work so that lc divides c
-            for k in work:
-                work[k] *= lc // g
+            for kk in work:
+                work[kk] *= lc // g
             scale *= lc // g
         c //= g
-        q = tuple(map(sub, m, lm))
-        for m2, c2 in tail:
-            mm = tuple(map(add, m2, q))
-            old = get(mm, 0)
+        q = k - klm
+        for k2, c2 in packed:
+            kk = k2 + q
+            old = get(kk, 0)
             new = old - c * c2
             if new:
-                work[mm] = new
+                work[kk] = new
                 if not old:
-                    heapq.heappush(heap, (key(mm), mm))
+                    heapq.heappush(heap, kk)
             else:
-                del work[mm]
+                del work[kk]
     return f._wrap(rem)
 
 

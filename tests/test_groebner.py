@@ -1,4 +1,5 @@
 import heapq
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from operator import le
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import (Budget, BudgetExceeded, Polynomial, VarContext,
-                       all_in_radical, buchberger, generate_loops, groebner,
+from loopsynth import (Budget, BudgetExceeded, ContextMismatchError, Polynomial,
+                       VarContext, all_in_radical, buchberger, generate_loops, groebner,
                        in_radical, is_zero_dimensional, normal_form,
                        parse_polynomial, parse_problem, s_polynomial, DEGREVLEX, LEX)
 
@@ -46,6 +47,34 @@ class TestDivision:
         f, g = P("x^2 + y"), P("x*y + z")
         s = s_polynomial(f, g)
         assert s == P("y^2 - x*z")
+
+
+class TestContexts:
+    # a divisor over another context would divide by the wrong variables
+    XY = VarContext(("x", "y"))
+
+    @pytest.mark.parametrize("names", [("x",), ("y", "x"), ("x", "y", "z")])
+    def test_normal_form_rejects_a_divisor_from_another_context(self, names):
+        g = parse_polynomial("x - 1", VarContext(names))
+        with pytest.raises(ContextMismatchError):
+            normal_form(P("x*y + y", self.XY), [g])
+        with pytest.raises(ContextMismatchError):
+            buchberger([g]).normal_form(P("x*y + y", self.XY))
+
+    def test_zero_ideal_basis_rejects_another_context(self):
+        basis = buchberger([P("0")])
+        assert basis.normal_form(P("x + 1")) == P("x + 1")
+        with pytest.raises(ContextMismatchError):
+            basis.normal_form(P("x + 1", self.XY))
+
+    def test_s_polynomial_rejects_another_context(self):
+        with pytest.raises(ContextMismatchError):
+            s_polynomial(P("x", self.XY), P("x*y"))
+
+    def test_equal_contexts_need_not_be_one_object(self):
+        f, g = P("x*y + y", self.XY), P("x - 1", VarContext(("x", "y")))
+        assert normal_form(f, [g]) == P("2*y", self.XY)
+        assert s_polynomial(f, g) == P("2*y", self.XY)
 
 
 class TestBuchberger:
@@ -103,6 +132,23 @@ class TestBuchberger:
         # a NaN deadline compares false with every clock reading
         with pytest.raises(ValueError, match="seconds"):
             Budget(seconds=seconds)
+
+    @pytest.mark.parametrize("seconds", [True, False])
+    def test_budget_rejects_a_bool_deadline(self, seconds):
+        with pytest.raises(ValueError, match="seconds"):
+            Budget(seconds=seconds)
+
+    @pytest.mark.parametrize("max_steps", [True, False, 2.5, 3.0, -1, "3"])
+    def test_budget_steps_are_an_integer_at_least_zero(self, max_steps):
+        # the rule of brute_force_box's bound: a bool is no count
+        with pytest.raises(ValueError, match="max_steps"):
+            Budget(max_steps=max_steps)
+
+    def test_budget_accepts_plain_limits(self):
+        assert Budget(seconds=0, max_steps=0).max_steps == 0
+        assert Budget(seconds=1.5).seconds == 1.5
+        with pytest.raises(BudgetExceeded):
+            Budget(max_steps=0).tick()
 
 
 def random_ideals(seed, count):
@@ -411,3 +457,126 @@ def test_division_results_are_in_the_checked_form(order):
             assert _rational_form(p) == _rational_form(Polynomial(p.context, p.terms))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the packed division kernel against the tuple kernel
+# it replaced: monomials as exponent tuples, heap keys from the order key.
+# Remainders must agree term by term, in order and in coefficient type.
+
+def tuple_kernel_normal_form(f, gens, order):
+    reducers = [tuple(groebner._reducer(g, order)) for g in gens if g]
+    scale = math.lcm(*[c.denominator for c in f.terms.values()])
+    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    key = lambda e: tuple(-k for k in order.key(e))
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lm, lc, tail in reducers:
+            if all(map(le, lm, m)):
+                break
+        else:
+            q, r = divmod(c, scale)
+            rem[m] = Fraction(c, scale) if r else q
+            continue
+        g = math.gcd(c, lc)
+        if lc != g:
+            for k in work:
+                work[k] *= lc // g
+            scale *= lc // g
+        c //= g
+        q = tuple(a - b for a, b in zip(m, lm))
+        for m2, c2 in tail:
+            mm = tuple(a + b for a, b in zip(m2, q))
+            old = work.get(mm, 0)
+            new = old - c * c2
+            if new:
+                work[mm] = new
+                if not old:
+                    heapq.heappush(heap, (key(mm), mm))
+            else:
+                del work[mm]
+    return [(m, type(c), c) for m, c in rem.items()]
+
+
+# a division that a broken kernel sends astray fails on the budget instead
+# of running on; no case here takes a tenth of it
+STEPS = 2_000
+
+# exponents around the field widths 2^k: degrees 2^k - 1 and 2^k come up,
+# and divisors of higher degree than f are common
+_EDGE_EXPONENTS = st.sampled_from([0, 0, 1, 1, 2, 3, 4, 7, 8])
+_INT_OR_FRACTION = st.one_of(st.integers(-6, 6), _COEFFS).filter(bool)
+_EDGE_POLYS = st.dictionaries(st.tuples(*[_EDGE_EXPONENTS] * 3), _INT_OR_FRACTION,
+                              max_size=4).map(lambda d: Polynomial(CTX, d))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_packed_division_matches_the_tuple_kernel(order):
+    @settings(max_examples=150, deadline=None)
+    @given(_EDGE_POLYS, st.lists(_EDGE_POLYS, max_size=3))
+    def check(f, gens):
+        assert _rational_form(normal_form(f, gens, order, Budget(max_steps=STEPS))) == \
+            tuple_kernel_normal_form(f, gens, order)
+
+    check()
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("f, gens", [
+    ("0", []), ("0", ["x - 1"]), ("3/2*x*y - 1/3", []),
+    ("x^3*y^4", ["x^8 - y", "y^16 + 1"]),  # divisors of higher degree than f
+    ("x^7 + 1/2*y^8", ["x^4 - z^3", "y^3 - 2*x"]),  # degrees 2^k - 1 and 2^k
+    ("x^15*y + x^16", ["x^8 - y^7", "x*y - z"]),
+    ("(x + y - z)^7", ["x^2 - 3*y", "y^3 - z - 1/5"]),
+    ("x^3 + x*z", ["x - y^5", "y - z^4"]),
+    ("z", ["z^4 - 1"]), ("y*z^2 + 1", ["z^5 - y", "x^3"]),  # only f's degree is low
+])
+def test_packed_division_matches_the_tuple_kernel_on_edges(order, f, gens):
+    f, gens = P(f), [P(g) for g in gens]
+    assert _rational_form(normal_form(f, gens, order, Budget(max_steps=STEPS))) == \
+        tuple_kernel_normal_form(f, gens, order)
+
+
+def test_lex_division_outgrows_every_input_exponent():
+    # each exponent of the remainder exceeds every exponent of the input
+    assert normal_form(P("x^3 + x*z"), [P("x - y^5"), P("y - z^4")], LEX) == \
+        P("z^60 + z^21")
+
+
+def test_prepared_divisors_keep_their_packing_out_of_equality():
+    basis = buchberger([P("x^2 + y"), P("x*y + z")], DEGREVLEX, Budget(max_steps=STEPS))
+    before = list(basis.reducers)
+    # the tails are packed at one width, then at a wider one and reused
+    for f in ["x^5*y^3 + z^9", "x^40 - y^33", "x^6*y^2 - z", "x^41*z"]:
+        assert _rational_form(basis.normal_form(P(f), Budget(max_steps=STEPS))) == \
+            tuple_kernel_normal_form(P(f), list(basis), DEGREVLEX)
+    assert list(basis.reducers) == before == \
+        [groebner._reducer(g, DEGREVLEX) for g in basis]
+    assert all(type(r) is not tuple and tuple(r) == r for r in basis.reducers)
+
+
+def test_division_is_reached_through_the_module_attribute(monkeypatch):
+    # perfbench's per-layer metrics time groebner.normal_form by replacing
+    # the module attribute; a caller that inlines the kernel or binds the
+    # function early would hide its divisions
+    calls = []
+    original = groebner.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    basis = buchberger([P("x^2 + y"), P("x*y + z"), P("y^2 - x*z")])
+    assert calls
+    seen = len(calls)
+    basis.normal_form(P("x^3"))
+    assert len(calls) == seen + 1
+    all_in_radical([P("x*y*z")], basis)
+    assert len(calls) > seen + 1
