@@ -8,12 +8,14 @@ BudgetExceeded instead of hanging.  Reduced bases are unique per (ideal,
 order), so identical inputs give identical outputs.
 
 Division runs on integers.  A divisor is primitive: coprime integer
-coefficients and a positive leading coefficient lc.  It is prepared once
-as leading monomial, lc and tail, and a GroebnerBasis carries the divisors
-that buchberger prepared for its generators.  The work polynomial is a
-dict of ints over one common scale: a term c*m is cancelled after
-multiplying the work by lc/gcd(c, lc) when that is not 1, and remainder
-terms are divided by the scale as they leave, so the remainder is exact.
+coefficients and a positive leading coefficient lc.  It is prepared once,
+as one _Divisor record of the primitive polynomial and its leading
+monomial, lc and tail.  buchberger keeps its generators in that form, a
+GroebnerBasis carries the records of its generators, and normal_form
+takes records and polynomials alike.  The work polynomial is a dict of
+ints over one common scale: a term c*m is cancelled after multiplying the
+work by lc/gcd(c, lc) when that is not 1, and remainder terms are divided
+by the scale as they leave, so the remainder is exact.
 
 Division packs each monomial e in n variables into one int,
 K(e) = sum e_i*2^(w*i) - 2^(w*n)*L(e), with L(e) the total degree under
@@ -59,28 +61,23 @@ __all__ = [
 
 
 class _Divisor(tuple):
-    """The _reducer triple (leading monomial, lc, tail) of a primitive
-    divisor.  degree is its largest term degree, and packed maps a field
-    width to the tail with packed monomials, under the order the divisor
-    was prepared for.  Tuple equality sees the triple alone."""
-
-
-def _prepared(g: Polynomial, order: MonomialOrder) -> tuple[Polynomial, _Divisor]:
-    """g.primitive_part(order) and its _reducer triple, from one search for
-    the leading monomial."""
-    lm = g.leading_monomial(order)
-    p = g._primitive_at(lm)
-    d = _Divisor((lm, p.terms[lm], [(m, c) for m, c in p.terms.items() if m != lm]))
-    # a degree-compatible order leads with a term of top degree
-    d.degree = sum(lm) if order.kind == "degrevlex" else p.total_degree()
-    d.packed = {}
-    return p, d
+    """A prepared divisor: the triple (leading monomial, lc, tail) of the
+    primitive polynomial poly under an order of the given kind.  degree is
+    its largest term degree, and packed maps a field width to the tail with
+    packed monomials.  Tuple equality sees the triple alone."""
 
 
 def _reducer(g: Polynomial, order: MonomialOrder) -> _Divisor:
-    """(leading monomial, leading coefficient, tail) of g.primitive_part(order):
-    rescaling a divisor changes no remainder."""
-    return _prepared(g, order)[1]
+    """The _Divisor of g.primitive_part(order), from one search for the
+    leading monomial: rescaling a divisor changes no remainder."""
+    lm = g.leading_monomial(order)
+    p = g._primitive_at(lm)
+    d = _Divisor((lm, p.terms[lm], [(m, c) for m, c in p.terms.items() if m != lm]))
+    d.poly, d.kind = p, order.kind
+    # a degree-compatible order leads with a term of top degree
+    d.degree = sum(lm) if order.kind == "degrevlex" else p.total_degree()
+    d.packed = {}
+    return d
 
 
 @cache
@@ -102,13 +99,13 @@ def _layout(n: int, w: int, kind: str) -> tuple:
 class GroebnerBasis:
     """Reduced Groebner basis: primitive (coprime integer coefficients,
     positive leading coefficient), interreduced, sorted by leading monomial
-    (ascending in the basis order).  reducers holds the _reducer triple of
-    each generator, in the same order."""
+    (ascending in the basis order).  reducers holds the _Divisor of each
+    generator, in the same order."""
 
     context: VarContext
     order: MonomialOrder
     generators: tuple[Polynomial, ...]
-    reducers: tuple[tuple, ...] = field(compare=False, repr=False)
+    reducers: tuple[_Divisor, ...] = field(compare=False, repr=False)
 
     @property
     def is_unit(self) -> bool:
@@ -117,7 +114,7 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
         if f.context != self.context:
             raise ContextMismatchError("f must share the context of the basis")
-        return normal_form(f, self.generators, self.order, budget, self.reducers)
+        return normal_form(f, self.reducers, self.order, budget)
 
     def __iter__(self):
         return iter(self.generators)
@@ -151,22 +148,26 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX)
     return f._wrap(_s_pair(rf, rg)) / lcm(rf[1], rg[1])
 
 
-def normal_form(f: Polynomial, gens: Sequence[Polynomial],
-                order: MonomialOrder = DEGREVLEX, budget: Budget | None = None,
-                reducers: Sequence[_Divisor] | None = None) -> Polynomial:
+def normal_form(f: Polynomial, gens: Sequence[Polynomial | _Divisor],
+                order: MonomialOrder = DEGREVLEX, budget: Budget | None = None) -> Polynomial:
     """Remainder of f on full division by gens; zero iff f is in the ideal
     when gens is a Groebner basis.  The first divisor in list order whose
-    leading monomial divides wins, so the result is deterministic.
-    reducers, when given, are the _reducer triples of the nonzero gens, in
-    order.  Monomials are packed ints whose width bounds every exponent that
-    division meets (module docstring); the remainder's terms come out in
-    descending order."""
-    ctx = f.context
+    leading monomial divides wins, so the result is deterministic.  Each
+    entry of gens is a polynomial or its _reducer record; zero polynomials
+    are skipped, and a record made under another order kind is prepared
+    again from its poly.  Monomials are packed ints whose width bounds
+    every exponent that division meets (module docstring); the remainder's
+    terms come out in descending order."""
+    ctx, kind = f.context, order.kind
+    reducers = []
     for g in gens:
-        if g.context is not ctx and g.context != ctx:  # `is` first: it is cheap
+        p = g.poly if type(g) is _Divisor else g
+        if p.context is not ctx and p.context != ctx:  # `is` first: it is cheap
             raise ContextMismatchError("divisors must share the context of f")
-    if reducers is None:
-        reducers = [_reducer(g, order) for g in gens if g]
+        if p is not g and g.kind == kind:
+            reducers.append(g)
+        elif p:
+            reducers.append(_reducer(p, order))
     n = ctx.arity
     dmax = max([r.degree for r in reducers], default=0)
     if order.kind == "degrevlex":
@@ -232,7 +233,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
 
     Normal strategy (minimal lcm in the order, ties by pair index) over the
     pairs that the Gebauer-Moller update keeps, content division after every
-    reduction, and an early exit to the basis {1} as soon as any reduction
+    reduction, and an early exit to the basis {1} as soon as a reduction
     produces a nonzero constant.  budget.tick() runs once per treated pair.
 
     update(h) adds the generator h.  Of the new pairs (g, h) it keeps one
@@ -253,72 +254,58 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
         if g.context != ctx:
             raise ContextMismatchError("generators must share one context")
     key = order.key
-
-    def unit_basis() -> GroebnerBasis:
-        one = Polynomial.one(ctx)
-        return GroebnerBasis(ctx, order, (one,), (_reducer(one, order),))
-
-    if any(g.total_degree() == 0 for g in gens):
-        return unit_basis()
-    G: list[Polynomial] = []
-    reds: list[tuple] = []
-    lms: list[tuple] = []
+    G: list[_Divisor] = []  # every generator, prepared
     active: list[int] = []  # indices into G, oldest first
     pq: list = []  # (lcm key, i, j, lcm) per queued pair, i < j
 
-    def update(g: Polynomial, red: tuple):
+    def update(d: _Divisor):
         h = len(G)
-        G.append(g)
-        reds.append(red)
-        lm = red[0]
-        lms.append(lm)
-        new = [(i, tuple(map(max, lms[i], lm))) for i in active]
+        G.append(d)
+        lm = d[0]
+        new = [(i, tuple(map(max, G[i][0], lm))) for i in active]
         kept: list = []  # criteria M and F
         for n, (i, l) in enumerate(new):
-            if (not any(map(min, lms[i], lm))
+            if (not any(map(min, G[i][0], lm))
                     or not any(all(map(le, l2, l)) for _, l2 in new[n + 1:] + kept)):
                 kept.append((i, l))
         pq[:] = [p for p in pq if not all(map(le, lm, p[3]))  # criterion B
-                 or tuple(map(max, lms[p[1]], lm)) == p[3]
-                 or tuple(map(max, lms[p[2]], lm)) == p[3]]
+                 or tuple(map(max, G[p[1]][0], lm)) == p[3]
+                 or tuple(map(max, G[p[2]][0], lm)) == p[3]]
         heapq.heapify(pq)
         for i, l in kept:
-            if any(map(min, lms[i], lm)):  # product criterion
+            if any(map(min, G[i][0], lm)):  # product criterion
                 heapq.heappush(pq, (key(l), i, h, l))
-        active[:] = [i for i in active if not all(map(le, lm, lms[i]))]
+        active[:] = [i for i in active if not all(map(le, lm, G[i][0]))]
         active.append(h)
 
     # Largest leading monomial first: a later one then divides no earlier
     # one unless they are equal, and a remainder has no term that an active
     # leading monomial divides, so the active leading monomials stay an
     # antichain and the active generators end as a minimal basis.
-    for g, red in sorted((_prepared(g, order) for g in gens if g),
-                         key=lambda gr: key(gr[1][0]), reverse=True):
-        update(g, red)
+    for d in sorted((_reducer(g, order) for g in gens if g),
+                    key=lambda d: key(d[0]), reverse=True):
+        update(d)
     while pq:
         _, i, j, _ = heapq.heappop(pq)
         if budget is not None:
             budget.tick()
-        r = normal_form(G[i]._wrap(_s_pair(reds[i], reds[j])), [G[k] for k in active],
-                        order, budget, [reds[k] for k in active])
+        r = normal_form(Polynomial._trusted(ctx, _s_pair(G[i], G[j])),
+                        [G[k] for k in active], order, budget)
         if r.is_zero:
             continue
         if r.total_degree() == 0:
-            return unit_basis()
-        update(*_prepared(r, order))
+            one = Polynomial.one(ctx)
+            return GroebnerBasis(ctx, order, (one,), (_reducer(one, order),))
+        update(_reducer(r, order))
 
-    active.sort(key=lambda k: key(lms[k]))
-    basis = [G[k] for k in active]
-    reds = [reds[k] for k in active]
-
+    basis = sorted([G[k] for k in active], key=lambda d: key(d[0]))
     # interreduce tails: no leading monomial of a minimal basis is
     # reducible, so they never change (nor does the ascending order),
     # and one pass leaves no tail term that any of them divides
     for idx in range(len(basis)):
-        basis[idx], reds[idx] = _prepared(normal_form(
-            basis[idx], basis[:idx] + basis[idx + 1:], order, budget,
-            reds[:idx] + reds[idx + 1:]), order)
-    return GroebnerBasis(ctx, order, tuple(basis), tuple(reds))
+        basis[idx] = _reducer(normal_form(
+            basis[idx].poly, basis[:idx] + basis[idx + 1:], order, budget), order)
+    return GroebnerBasis(ctx, order, tuple(d.poly for d in basis), tuple(basis))
 
 
 # ---------------------------------------------------------------------------

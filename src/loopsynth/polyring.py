@@ -128,6 +128,9 @@ class VarContext:
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for block, names in (("x_names", self.x_names), ("y_names", self.y_names)):
+            if isinstance(names, str):  # not split into letters
+                raise ValueError(f"{block} must be a sequence of names, not {names!r}")
         names = tuple(self.x_names) + tuple(self.y_names)
         if self.t_name is not None:
             names += (self.t_name,)

@@ -69,6 +69,8 @@ class LoopTemplate:
 
     def __post_init__(self):
         _require_program_context(self.context, "LoopTemplate")
+        if isinstance(self.init, str):
+            raise ValueError(f"init must be a sequence of values, not {self.init!r}")
         n = self.context.arity
         object.__setattr__(self, "init", tuple(as_rational(v) for v in self.init))
         if len(self.init) != n:
@@ -152,6 +154,8 @@ class ConcreteLoop:
 
     def __post_init__(self):
         _require_program_context(self.context, "ConcreteLoop")
+        if isinstance(self.init, str):
+            raise ValueError(f"init must be a sequence of values, not {self.init!r}")
         n = self.context.arity
         object.__setattr__(self, "init", tuple(as_rational(v) for v in self.init))
         object.__setattr__(self, "update", tuple(self.update))
@@ -195,6 +199,8 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     value refutes (None) with no basis computation, and once the batch
     lands in the radical the zero values put the start in V(S).
     """
+    if type(max_rounds) is not int or max_rounds < 1:  # a bool is no count
+        raise ValueError(f"max_rounds must be an integer >= 1, not {max_rounds!r}")
     if start is not None and any(p.evaluate(start) != 0 for p in g):
         return None
     w = 1
@@ -317,8 +323,8 @@ def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
     visited state (the terminal one included, when the guard vanishes)
     violates an invariant.  Evidence only: True is no proof.  The budget,
     when given, ticks once per step."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if type(steps) is not int or steps < 1:  # a bool is no count
+        raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
     names = loop.context.names

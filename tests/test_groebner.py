@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopsynth import (Budget, BudgetExceeded, ContextMismatchError, Polynomial,
                        VarContext, all_in_radical, buchberger, generate_loops, groebner,
@@ -58,6 +58,10 @@ class TestContexts:
         g = parse_polynomial("x - 1", VarContext(names))
         with pytest.raises(ContextMismatchError):
             normal_form(P("x*y + y", self.XY), [g])
+        for order in (DEGREVLEX, LEX):  # as a prepared record, after a good divisor
+            with pytest.raises(ContextMismatchError):
+                normal_form(P("x*y + y", self.XY),
+                            [P("y - 1", self.XY), groebner._reducer(g, order)], order)
         with pytest.raises(ContextMismatchError):
             buchberger([g]).normal_form(P("x*y + y", self.XY))
 
@@ -373,7 +377,7 @@ def chain_criterion_buchberger(gens, order):
                and (min(j, k), max(j, k)) not in pending for k in range(len(G))):
             continue
         s = G[i]._wrap(groebner._s_pair(reds[i], reds[j]))
-        r = normal_form(s, G, order, None, reds)
+        r = normal_form(s, G, order, None)
         if r.is_zero:
             continue
         if r.total_degree() == 0:
@@ -389,8 +393,8 @@ def chain_criterion_buchberger(gens, order):
             kept.append(i)
     basis, reds = [G[i] for i in kept], [reds[i] for i in kept]
     for idx in range(len(basis)):
-        r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order, None,
-                        reds[:idx] + reds[idx + 1:]).primitive_part(order)
+        r = normal_form(basis[idx], basis[:idx] + basis[idx + 1:], order,
+                        None).primitive_part(order)
         basis[idx], reds[idx] = r, groebner._reducer(r, order)
     return tuple(basis), tuple(reds)
 
@@ -541,6 +545,31 @@ def test_packed_division_matches_the_tuple_kernel_on_edges(order, f, gens):
     f, gens = P(f), [P(g) for g in gens]
     assert _rational_form(normal_form(f, gens, order, Budget(max_steps=STEPS))) == \
         tuple_kernel_normal_form(f, gens, order)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_divisors_may_be_polynomials_or_their_records(order):
+    # one divisor list: polynomials, their _reducer records, or a mix; a
+    # record made under the other order is prepared again under this one
+    other = LEX if order == DEGREVLEX else DEGREVLEX
+
+    @settings(max_examples=100, deadline=None)
+    @given(_EDGE_POLYS, st.lists(st.tuples(_EDGE_POLYS, st.booleans()), max_size=3))
+    @example(P("x*y"), [(P("x*y - 1"), True), (P("x*y - 2"), False)])  # first one wins
+    @example(P("x^3"), [(P("x - y^3"), True)])  # the orders disagree on the lead
+    def check(f, drawn):
+        gens = [g for g, _ in drawn]
+        records = [groebner._reducer(g, order) for g in gens if g]
+        mixed = [groebner._reducer(g, order) if g and as_record else g
+                 for g, as_record in drawn]
+        foreign = [groebner._reducer(g, other) if g and as_record else g
+                   for g, as_record in drawn]
+        want = _rational_form(normal_form(f, gens, order, Budget(max_steps=STEPS)))
+        for divisors in (records, mixed, foreign):
+            assert _rational_form(normal_form(f, divisors, order,
+                                              Budget(max_steps=STEPS))) == want
+
+    check()
 
 
 def test_lex_division_outgrows_every_input_exponent():

@@ -32,6 +32,12 @@ class TestContext:
         with pytest.raises(ValueError):
             VarContext(("x",), ("x",))
 
+    def test_a_string_is_not_split_into_names(self):
+        with pytest.raises(ValueError, match="x_names"):
+            VarContext("xy")
+        with pytest.raises(ValueError, match="y_names"):
+            VarContext(("x",), "ab")
+
     def test_with_t_avoids_clashes(self):
         ctx = VarContext(("t", "t_"))
         ext = ctx.with_t()

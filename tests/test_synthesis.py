@@ -48,6 +48,13 @@ class TestTemplates:
         with pytest.raises(ValueError):
             LoopTemplate(X2, (1, 1), P2("1"), ((P2("x1"),), ()))
 
+    def test_a_string_is_not_split_into_values(self):
+        gens = ((P2("x1"),), (P2("x2"),))
+        with pytest.raises(ValueError, match="init"):
+            LoopTemplate(X2, "12", P2("1"), gens)
+        with pytest.raises(ValueError, match="init"):
+            ConcreteLoop(X2, "12", P2("1"), (P2("x1"), P2("x2")))
+
     def test_float_init_rejected(self):
         with pytest.raises(TypeError):
             LoopTemplate(X2, (0.5, 1), P2("1"),
@@ -73,6 +80,21 @@ class TestInvariantSet:
         g, _ = rotationish
         S = invariant_set([g], list(Polynomial.variables(X2)))
         assert S == [g]
+
+    @pytest.mark.parametrize("max_rounds", [0, -1, True, 2.5])
+    def test_round_limit_is_an_integer_at_least_one(self, max_rounds, rotationish,
+                                                    cubic_template, cubic_invariants,
+                                                    known_root_loop):
+        # a bad limit is a bad argument, not a run out of budget
+        g, F = rotationish
+        calls = [lambda: invariant_set([g], F, max_rounds=max_rounds),
+                 lambda: generate_loops(cubic_template, cubic_invariants,
+                                        max_rounds=max_rounds),
+                 lambda: check_invariants(known_root_loop, cubic_invariants,
+                                          max_rounds=max_rounds)]
+        for call in calls:
+            with pytest.raises(ValueError, match="max_rounds"):
+                call()
 
     def test_round_limit_raises(self, rotationish):
         g, F = rotationish
@@ -207,6 +229,12 @@ class TestSimulateAndCheck:
     def test_steps_validated(self, known_root_loop, cubic_invariants):
         with pytest.raises(ValueError):
             simulate(known_root_loop, cubic_invariants, 0)
+
+    @pytest.mark.parametrize("steps", [-1, True, 1.5, "3"])
+    def test_steps_must_be_an_integer_at_least_one(self, known_root_loop,
+                                                   cubic_invariants, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            simulate(known_root_loop, cubic_invariants, steps)
 
     def test_late_refutation_needs_the_third_round(self):
         # x -> x + 1 from 0 meets x*(x-1)*(x-2) = 0 at states 0, 1 and 2 and
