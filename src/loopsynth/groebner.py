@@ -37,7 +37,7 @@ work, and the bound is the larger of D and that omega-degree of f.
 Radical membership uses the auxiliary-variable trick: f lies in the
 radical of <S> iff 1 lies in <S, 1 - t*f> for a fresh trailing t.  One
 exactness-preserving shortcut runs first: f is reduced modulo a basis of
-<S> (answering True on remainder 0, or on a vanishing square).
+<S> (answering True when the remainder's square reduces to 0).
 """
 
 from __future__ import annotations
@@ -99,13 +99,16 @@ def _layout(n: int, w: int, kind: str) -> tuple:
 class GroebnerBasis:
     """Reduced Groebner basis: primitive (coprime integer coefficients,
     positive leading coefficient), interreduced, sorted by leading monomial
-    (ascending in the basis order).  reducers holds the _Divisor of each
-    generator, in the same order."""
+    (ascending in the basis order), built from reducers, the _Divisor of each
+    generator; equality, hash and repr read generators, their polynomials."""
 
     context: VarContext
     order: MonomialOrder
-    generators: tuple[Polynomial, ...]
     reducers: tuple[_Divisor, ...] = field(compare=False, repr=False)
+    generators: tuple[Polynomial, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(d.poly for d in self.reducers))
 
     @property
     def is_unit(self) -> bool:
@@ -295,7 +298,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
             continue
         if r.total_degree() == 0:
             one = Polynomial.one(ctx)
-            return GroebnerBasis(ctx, order, (one,), (_reducer(one, order),))
+            return GroebnerBasis(ctx, order, (_reducer(one, order),))
         update(_reducer(r, order))
 
     basis = sorted([G[k] for k in active], key=lambda d: key(d[0]))
@@ -305,7 +308,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     for idx in range(len(basis)):
         basis[idx] = _reducer(normal_form(
             basis[idx].poly, basis[:idx] + basis[idx + 1:], order, budget), order)
-    return GroebnerBasis(ctx, order, tuple(d.poly for d in basis), tuple(basis))
+    return GroebnerBasis(ctx, order, tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +319,6 @@ _SQUARE_TERM_CAP = 120  # skip the cheap square probe on huge remainders
 
 def _radical_member(f: Polynomial, basis: GroebnerBasis, budget: Budget | None) -> bool:
     r = basis.normal_form(f, budget)
-    if r.is_zero:
-        return True
     if len(r) <= _SQUARE_TERM_CAP and basis.normal_form(r * r, budget).is_zero:
         return True  # f^2 in <S> certainly puts f in the radical
     ctx_t = f.context.with_t()

@@ -9,7 +9,7 @@ sits last.  Monomials are dense exponent tuples indexed by that order,
 and polynomials are immutable dicts from exponent tuple to nonzero
 coefficient.  The checking constructor Polynomial(...) is for input from
 outside.  Ring operations build on two term-dict kernels, _add_into and
-_mul_terms; compose and substitute share one composition kernel.
+_mul_terms; compose, the one ring map, runs on the kernel _compose.
 
 The text format read by parse_polynomial and produced by str()/
 format_polynomial is:
@@ -385,7 +385,7 @@ class Polynomial:
         object.__setattr__(p, "terms", terms)
         return p
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation and composition -----------------------------------------
 
     def evaluate(self, point: Mapping[str, object]) -> Coeff:
         """Exact value at a fully specified rational point."""
@@ -402,16 +402,6 @@ class Polynomial:
                     term *= v ** e
             total += term
         return as_rational(total)
-
-    def substitute(self, bindings: Mapping[str, object]) -> "Polynomial":
-        """Bind some variables to rationals; result lives in the remaining
-        sub-context (an empty context when everything is bound)."""
-        ctx = self.context
-        vals = {ctx.index(n): v for n, v in bindings.items()}
-        new_ctx = ctx.restrict(n for i, n in enumerate(ctx.names) if i not in vals)
-        return self._compose(new_ctx, [
-            (Polynomial.constant(new_ctx, vals[i]) if i in vals
-             else Polynomial.variable(new_ctx, n)).terms for i, n in enumerate(ctx.names)])
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable (one image per context

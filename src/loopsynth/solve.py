@@ -22,6 +22,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget, BudgetExceeded
@@ -240,7 +241,10 @@ def _model_assignment(sexprs: list, names: Sequence[str]) -> dict[str, Coeff]:
                     defs[name] = _sexpr_value(sx[4])
             else:
                 walk(sx)
-    walk(sexprs)
+    try:
+        walk(sexprs)
+    except RecursionError:
+        raise SolverOutputError("model nested too deeply to read") from None
     # solvers may omit don't-care variables; zero-fill and let the exact
     # re-verification decide whether that is acceptable
     return {n: defs.get(n, 0) for n in names}
@@ -303,10 +307,10 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
 
     An empty system is satisfied by every vector, so a policy-conforming
     assignment is returned directly without invoking any solver.
-    Otherwise the status is read from the solver's output stream, never
-    from the exit code, and a timeout maps to unknown.  A sat model is
-    re-verified exactly against the request, and a failing model raises
-    SolverOutputError.
+    Otherwise the status is read from the solver's output stream (an
+    undecodable byte reads as U+FFFD), never from the exit code, and a
+    timeout maps to unknown.  A sat model is re-verified exactly against
+    the request; a failing or unreadable model raises SolverOutputError.
     """
     names = request.system.context.names
     if not request.system.polys:
@@ -326,7 +330,7 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
     try:
         argv = [a.replace("{file}", path) for a in command]
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True,
+            proc = subprocess.run(argv, capture_output=True, text=True, errors="replace",
                                   timeout=min(request.budget_seconds, MAX_SOLVER_WAIT_SECONDS))
         except OSError as exc:  # missing, not executable, a directory, ...
             return SolveOutcome("solver-unavailable",
@@ -361,16 +365,15 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
 # Univariate rational roots.
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, budget: Budget) -> list[int]:
     n = abs(n)
+    budget.tick(isqrt(n))  # one step per trial division
     small, large = [], []
-    d = 1
-    while d * d <= n:
+    for d in range(1, isqrt(n) + 1):
         if n % d == 0:
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-        d += 1
     return small + large[::-1]
 
 
@@ -380,7 +383,8 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
     Candidates are +-(divisor of trailing coefficient)/(divisor of leading
     coefficient) after integer clearing; every candidate is verified by
     exact evaluation.  Nonzero constants have no roots; the zero
-    polynomial is rejected.
+    polynomial is rejected.  Raises BudgetExceeded past ENUMERATION_CAP
+    trial divisions.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -402,9 +406,11 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
     def value(x: Coeff) -> Coeff:
         return sum(c * x ** (d - low) for d, c in coeffs.items())
 
+    budget = Budget(max_steps=ENUMERATION_CAP)
+    nums, dens = _divisors(trailing, budget), _divisors(leading, budget)
     seen = set(roots)
-    for num in _divisors(trailing):
-        for den in _divisors(leading):
+    for num in nums:
+        for den in dens:
             root = as_rational(Fraction(num, den))
             for cand in (root, -root):
                 if cand not in seen and value(cand) == 0:

@@ -27,14 +27,14 @@ basis of <S_k>, h*(q o F) - h*(r o F) = h*((q - r) o F) lies in <S_{k+1}>
 too.  So a working set W that starts as g and gains each round's nonzero
 remainders has <W> = <S> in every round, the reduced basis is the same,
 and every membership test sees the same remainders: the rounds and every
-verdict are those of the paper's loop.  The paper's S is rebuilt from g,
-F, h and the round count only where it is returned, and the stabilizing
-round's raw batch is never built.
+verdict are those of the paper's loop.  The paper's round-k batch is
+(g o F^k) * prod_{j<k} (h o F^j); at a start point a, it is g at F^k(a)
+times the guard values at F^j(a), j < k: the batch along the orbit of a.
 
-For synthesis the map is augmented with the coefficient block (mapped
-identically), and afterwards x is bound to a, leaving constraints on y
-alone.  check_invariants runs the same loop on the concrete map,
-evaluating each round along the orbit of the start point.
+check_invariants walks this orbit numerically on the concrete map.  For
+synthesis the map G also maps the coefficient block y identically, the
+search runs over (x, y), and the returned system is S at x = a: as
+(q o G)(a, y) = q(G_x(a, y), y), the same orbit walked symbolically.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class InvariantSpec:
 @dataclass(frozen=True)
 class SynthesisSystem:
     """Polynomial constraints on the coefficient block, with provenance:
-    q_count invariant-set polynomials before substitution, rounds radical
-    checks performed."""
+    q_count invariant-set polynomials before the zero ones are dropped,
+    rounds radical checks performed."""
 
     context: VarContext
     polys: tuple[Polynomial, ...]
@@ -180,7 +180,8 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
     h = Polynomial.one(g[0].context)
-    return _generators(g, F, h, _invariant_set(g, F, h, max_rounds, None))
+    return _generators(g, F, h, Polynomial.variables(h.context),
+                       _invariant_set(g, F, h, max_rounds, None))
 
 
 def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
@@ -194,10 +195,10 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     it, and tests the nonzero remainders for radical membership; the next
     batch composes those remainders.  With a start point, each round also
     advances its orbit one state and w, the product of the guard values at
-    the states passed.  The paper's round-k batch is g o F^k times h o F^j
-    for j < k, whose value at the start is w * g at state k: a nonzero
-    value refutes (None) with no basis computation, and once the batch
-    lands in the radical the zero values put the start in V(S).
+    the states passed, so w * g at the state is the value of the paper's
+    batch there (module docstring): a nonzero value refutes (None) with no
+    basis computation, and once the batch lands in the radical the zero
+    values put the start in V(S).
     """
     if type(max_rounds) is not int or max_rounds < 1:  # a bool is no count
         raise ValueError(f"max_rounds must be an integer >= 1, not {max_rounds!r}")
@@ -227,13 +228,15 @@ def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
         batch = [h * r.compose(F) for r in rems]
 
 
-def _generators(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                h: Polynomial, rounds: int) -> list[Polynomial]:
-    # the paper's S after `rounds` rounds: g and the batches of all but the last
-    S, batch = list(g), list(g)
+def _generators(g: Sequence[Polynomial], F: Sequence[Polynomial], h: Polynomial,
+                state: Sequence[Polynomial], rounds: int) -> list[Polynomial]:
+    # the paper's S after `rounds` rounds, taken at `state` (one image per variable)
+    S = [p.compose(state) for p in g]
+    w = 1
     for _ in range(rounds - 1):
-        batch = [h * p.compose(F) for p in batch]
-        S.extend(batch)
+        w = h.compose(state) * w
+        state = [f.compose(state) for f in F]
+        S.extend(w * p.compose(state) for p in g)
     return S
 
 
@@ -261,7 +264,7 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
                    budget: Budget | None = None) -> SynthesisSystem:
     """Exact constraints on the template coefficients y making every
     invariant hold along the loop: the invariant set of V(g_1..g_m) under
-    the augmented map with the guard h as a factor, with x bound to a, zero
+    the augmented map with the guard h as a factor, taken at x = a, zero
     results dropped, and survivors content-normalized for printing."""
     if invariants.context != template.context:
         raise ValueError("invariants must live in the template context")
@@ -269,14 +272,11 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
     gs = [g.extend_context(ctx) for g in invariants.polys]
     h = template.guard.extend_context(ctx)
     rounds = _invariant_set(gs, maps, h, max_rounds, budget)
-    S = _generators(gs, maps, h, rounds)
-    bindings = dict(zip(ctx.x_names, template.init))
-    polys = []
-    for q in S:
-        p = q.substitute(bindings)
-        if not p.is_zero:
-            polys.append(p.primitive_part())
-    return SynthesisSystem(ctx.restrict(ctx.y_names), tuple(polys), len(S), rounds)
+    yctx = ctx.restrict(ctx.y_names)
+    start = [Polynomial.constant(yctx, a) for a in template.init]
+    S = _generators(gs, maps, h, start + Polynomial.variables(yctx), rounds)
+    polys = tuple(q.primitive_part() for q in S if q)
+    return SynthesisSystem(yctx, polys, len(S), rounds)
 
 
 def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:

@@ -79,7 +79,7 @@ def test_one_exception_per_kind_of_failure():
 def test_ring_maps_build_no_checked_polynomial():
     # the checking constructor is for outside input; the ring operations and
     # maps build their results from terms that are already in normal form
-    ring_ops = {"__add__", "__mul__", "compose", "_compose", "substitute", "extend_context"}
+    ring_ops = {"__add__", "__mul__", "compose", "_compose", "extend_context"}
     tree = ast.parse((ROOT / "src" / "loopsynth" / "polyring.py").read_text())
     defs = [fn for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name in ring_ops]
@@ -104,9 +104,13 @@ ONE_FORM = {
                          parse_polynomial("x/2", X).evaluate({"x": 1, "y": 0})],
     "content": lambda: [parse_polynomial("6*x + 9*y", X).content(),
                         parse_polynomial("x/2 + y/3", X).content()],
-    "substitute": lambda: [*parse_polynomial("x*y - y/3", X).substitute(
-                               {"x": Fraction(2), "y": "3"}).terms.values(),
-                           *parse_polynomial("x/3", X).substitute({"x": 1, "y": 0}).terms.values()],
+    # constant images for x, as generate_loops takes the system at the start
+    "compose": lambda: [*parse_polynomial("x*y - y/3", X).compose(
+                            [Polynomial.constant(Y, Fraction(4, 2)),
+                             Polynomial.variable(Y, "y1")]).terms.values(),
+                        *parse_polynomial("2*x*y", X).compose(
+                            [Polynomial.constant(Y, "1/2"),
+                             Polynomial.variable(Y, "y2")]).terms.values()],
     "instantiate": lambda: list(instantiate(TEMPLATE, (Fraction(2), "1/2")).init),
     "parse_problem": lambda: list(parse_problem(PROBLEM).loop.init),
     "sexpr_value": lambda: [_sexpr_value(["/", "6", "3"]), _sexpr_value(["/", "1", "2"]),

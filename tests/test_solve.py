@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import stat
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,21 @@ exit 1
         with pytest.raises(SolverOutputError):
             solve(self.req, [cmd, "{file}"])
 
+    def test_undecodable_output(self, tmp_path):
+        cmd = stub(tmp_path, "bytes", "printf 'sat\\n\\377\\376 (model)\\n'\n")
+        with pytest.raises(SolverOutputError):
+            solve(self.req, [cmd, "{file}"])
+
+    def test_model_value_nested_too_deeply(self, tmp_path):
+        # 5,000 negations of 2: read, it would be a model that checks out
+        depth = 5000
+        model = tmp_path / "model"
+        model.write_text("sat\n((define-fun y1 () Int " + "(- " * depth + "2"
+                         + ")" * depth + ") (define-fun y2 () Int 1))\n")
+        cmd = stub(tmp_path, "deep", f"cat '{model}'\n")
+        with pytest.raises(SolverOutputError):
+            solve(self.req, [cmd, "{file}"])
+
     def test_timeout_is_unknown(self, tmp_path):
         cmd = stub(tmp_path, "sleeper", "sleep 5\necho sat\n")
         out = solve(SolveRequest(self.req.system, budget_seconds=0.2), [cmd, "{file}"])
@@ -264,6 +280,15 @@ class TestRationalRoots:
     def test_univariate_in_larger_context(self):
         ctx = VarContext(("y1", "y2"))
         assert rational_roots(parse_polynomial("y2^2 - 9", ctx)) == [-3, 3]
+
+    def test_huge_constant_term_is_bounded(self):
+        # about 10^15 trial divisions unbounded
+        ctx = VarContext(("y1",))
+        p = parse_polynomial(f"y1 - {10 ** 30}", ctx)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            rational_roots(p)
+        assert time.monotonic() - start < 1
 
     def test_against_brute_force(self):
         rng = random.Random(31)
