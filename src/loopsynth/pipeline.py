@@ -170,8 +170,10 @@ def grid_template(doc: ProblemDoc, D: int, l: int) -> LoopTemplate:
     tpl = doc.template
     if tpl is None:
         raise ValueError("grid mode needs a synthesis-form problem")
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    if type(D) is not int or D < 1:  # a bool is no degree
+        raise ValueError(f"D must be an integer >= 1, not {D!r}")
+    if type(l) is not int:
+        raise ValueError(f"l must be an integer, not {l!r}")
     ctx = tpl.context
     n = ctx.arity
     if l < n:

@@ -384,7 +384,7 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
     coefficient) after integer clearing; every candidate is verified by
     exact evaluation.  Nonzero constants have no roots; the zero
     polynomial is rejected.  Raises BudgetExceeded past ENUMERATION_CAP
-    trial divisions.
+    trial divisions and candidates.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -408,6 +408,7 @@ def rational_roots(p: Polynomial) -> list[Coeff]:
 
     budget = Budget(max_steps=ENUMERATION_CAP)
     nums, dens = _divisors(trailing, budget), _divisors(leading, budget)
+    budget.tick(2 * len(nums) * len(dens))  # one step per candidate
     seen = set(roots)
     for num in nums:
         for den in dens:

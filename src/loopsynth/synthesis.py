@@ -31,16 +31,22 @@ verdict are those of the paper's loop.  The paper's round-k batch is
 (g o F^k) * prod_{j<k} (h o F^j); at a start point a, it is g at F^k(a)
 times the guard values at F^j(a), j < k: the batch along the orbit of a.
 
-check_invariants walks this orbit numerically on the concrete map.  For
-synthesis the map G also maps the coefficient block y identically, the
-search runs over (x, y), and the returned system is S at x = a: as
+check_invariants walks this orbit numerically on the concrete map, one
+state per round: a lies in V(S) iff each batch vanishes at a, and while
+the guard values passed are nonzero, round k's batch vanishes at a iff g
+vanishes at the k-th state.  At a state where h vanishes the loop exits
+and the walk ends: every later batch value carries that zero guard value
+as a factor, so True is then the exact verdict, with no further round.
+For synthesis the map G also maps the coefficient block y identically,
+the search runs over (x, y), and the returned system is S at x = a: as
 (q o G)(a, y) = q(G_x(a, y), y), the same orbit walked symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
@@ -180,52 +186,34 @@ def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
     if not g:
         raise ValueError("invariant_set needs at least one polynomial")
     h = Polynomial.one(g[0].context)
-    return _generators(g, F, h, Polynomial.variables(h.context),
-                       _invariant_set(g, F, h, max_rounds, None))
+    *_, rounds = _rounds(g, F, h, max_rounds, None)
+    return _generators(g, F, h, Polynomial.variables(h.context), rounds)
 
 
-def _invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
-                   h: Polynomial, max_rounds: int, budget: Budget | None,
-                   start: dict | None = None) -> int | None:
-    """Round count of the invariant-set loop of V(g) under F guarded by h,
-    or None when the start point is refuted.
-
-    The loop runs on the working set W of the module docstring: each round
-    computes one basis of <W> = <S>, reduces each batch member once modulo
-    it, and tests the nonzero remainders for radical membership; the next
-    batch composes those remainders.  With a start point, each round also
-    advances its orbit one state and w, the product of the guard values at
-    the states passed, so w * g at the state is the value of the paper's
-    batch there (module docstring): a nonzero value refutes (None) with no
-    basis computation, and once the batch lands in the radical the zero
-    values put the start in V(S).
-    """
+def _rounds(g: Sequence[Polynomial], F: Sequence[Polynomial], h: Polynomial,
+            max_rounds: int, budget: Budget | None) -> Iterator[int]:
+    """Rounds of the invariant-set loop of V(g) under F guarded by h: yields
+    0, then k as round k begins (after the budget tick, before any work).
+    Round k composes the last remainders, computes one basis of <W> = <S>
+    (module docstring), reduces each batch member once modulo it and tests
+    the nonzero remainders for radical membership.  It returns once they
+    all lie in the radical, so the last k is the round count, and raises
+    BudgetExceeded past max_rounds."""
     if type(max_rounds) is not int or max_rounds < 1:  # a bool is no count
         raise ValueError(f"max_rounds must be an integer >= 1, not {max_rounds!r}")
-    if start is not None and any(p.evaluate(start) != 0 for p in g):
-        return None
-    w = 1
-    W = list(g)
-    batch = [h * p.compose(F) for p in g]
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > max_rounds:
-            raise BudgetExceeded(
-                f"invariant-set round budget exceeded ({max_rounds} rounds)")
+    yield 0
+    W, rems = list(g), list(g)
+    for k in range(1, max_rounds + 1):
         if budget is not None:
             budget.tick()
-        if start is not None:
-            w *= h.evaluate(start)
-            start = {n: f.evaluate(start) for n, f in zip(g[0].context.names, F)}
-            if any(w * p.evaluate(start) != 0 for p in g):
-                return None
+        yield k
+        batch = [h * r.compose(F) for r in rems]
         basis = groebner.buchberger(W, budget=budget)
         rems = [r for r in (basis.normal_form(p, budget) for p in batch) if r]
         if all_in_radical(rems, basis, budget=budget):
-            return rounds
+            return
         W.extend(rems)
-        batch = [h * r.compose(F) for r in rems]
+    raise BudgetExceeded(f"invariant-set round budget exceeded ({max_rounds} rounds)")
 
 
 def _generators(g: Sequence[Polynomial], F: Sequence[Polynomial], h: Polynomial,
@@ -271,7 +259,7 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
     maps, ctx = build_augmented_map(template)
     gs = [g.extend_context(ctx) for g in invariants.polys]
     h = template.guard.extend_context(ctx)
-    rounds = _invariant_set(gs, maps, h, max_rounds, budget)
+    *_, rounds = _rounds(gs, maps, h, max_rounds, budget)
     yctx = ctx.restrict(ctx.y_names)
     start = [Polynomial.constant(yctx, a) for a in template.init]
     S = _generators(gs, maps, h, start + Polynomial.variables(yctx), rounds)
@@ -308,13 +296,29 @@ def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
                      max_rounds: int = DEFAULT_MAX_ROUNDS,
                      budget: Budget | None = None) -> bool:
     """Exact invariance test: all g vanish on every reachable state iff a
-    lies in the invariant set of V(g) under F with the guard h as a factor
-    (see the module docstring)."""
+    lies in the invariant set of V(g) under F with the guard h as a factor:
+    one state per round, and an exit ends the walk (module docstring)."""
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
-    start = dict(zip(loop.context.names, loop.init))
-    return _invariant_set(invariants.polys, loop.update, loop.guard, max_rounds,
-                          budget, start) is not None
+    rounds = _rounds(invariants.polys, loop.update, loop.guard, max_rounds, budget)
+    for _, state in zip(rounds, _states(loop)):
+        if any(g.evaluate(state) != 0 for g in invariants.polys):
+            return False
+    return True
+
+
+def _states(loop: ConcreteLoop, budget: Budget | None = None) -> Iterator[dict]:
+    """The states the loop visits, as name -> value maps, from init up to the
+    first one where the guard vanishes; the budget ticks once per move."""
+    names = loop.context.names
+    state = dict(zip(names, loop.init))
+    while True:
+        yield state
+        if loop.guard.evaluate(state) == 0:
+            return
+        if budget is not None:
+            budget.tick()
+        state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
 
 
 def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
@@ -327,16 +331,7 @@ def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
         raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
-    names = loop.context.names
-    state = {n: v for n, v in zip(names, loop.init)}
-    for m in range(steps + 1):
+    for state in islice(_states(loop, budget), steps + 1):
         if any(g.evaluate(state) != 0 for g in invariants.polys):
             return False
-        if loop.guard.evaluate(state) == 0:
-            return True
-        if m == steps:
-            break
-        if budget is not None:
-            budget.tick()
-        state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
     return True

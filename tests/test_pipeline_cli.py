@@ -205,6 +205,13 @@ class TestGridTemplate:
         with pytest.raises(ValueError):
             grid_template(doc, 1, 2)
 
+    @pytest.mark.parametrize("D, l, bad", [(1.5, 3, "D"), (True, 2, "D"),
+                                           (1, 2.5, "l"), (1, True, "l")])
+    def test_cell_must_be_integers(self, D, l, bad):
+        doc = parse_problem(FAST_SYNTH, name="fast")
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer"):
+            grid_template(doc, D, l)
+
     def test_pool_is_built_lazily(self):
         # a variable takes at most l entries, so a huge D costs nothing
         doc = parse_problem(CUBIC_BENCH.read_text(), name="intro")
@@ -225,6 +232,12 @@ class TestRunBenchmarks:
     def test_grid_cells_named(self, fast_file):
         reports = run_benchmarks([fast_file], grid=[(1, 3), (1, 4)])
         assert [r.name for r in reports] == ["fast[D=1,l=3]", "fast[D=1,l=4]"]
+
+    def test_non_integer_grid_cell_is_an_invalid_row(self, fast_file):
+        reports = run_benchmarks([fast_file], grid=[(1.5, 3), (1, 3)])
+        assert [(r.name, r.status) for r in reports] == [
+            ("fast[D=1.5,l=3]", "invalid"), ("fast[D=1,l=3]", "ok")]
+        assert reports[0].error == "D must be an integer >= 1, not 1.5"
 
     def test_grid_skipped_for_concrete(self, check_file):
         reports = run_benchmarks([check_file], grid=[(1, 3)])

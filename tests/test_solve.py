@@ -290,6 +290,15 @@ class TestRationalRoots:
             rational_roots(p)
         assert time.monotonic() - start < 1
 
+    def test_candidate_count_is_bounded(self):
+        # 6,720 divisors on each side: 2 * 6,720^2 candidates unbounded
+        ctx = VarContext(("y1",))
+        p = parse_polynomial("963761198400*y1^2 + y1 + 963761198400", ctx)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            rational_roots(p)
+        assert time.monotonic() - start < 2
+
     def test_against_brute_force(self):
         rng = random.Random(31)
         ctx = VarContext(("y",))
@@ -428,3 +437,29 @@ class TestClassifyFiniteness:
                        "y1^3*y2^2 - y3", "y1*y2^4 + y2*y3^2 - 1",
                        "y1^2*y3^3 - y2")
         assert classify_finiteness(system, budget=Budget(max_steps=2)) == "unknown"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * 3), st.integers(-3, 3).filter(bool),
+        max_size=3)), min_size=2, max_size=4))
+    def test_matches_sympy(self, gens):
+        # each generator is a pure power y_i^2 (i < 3) or nothing, plus up to
+        # three terms of degree <= 1 in each variable, so both verdicts occur
+        sympy = pytest.importorskip("sympy")
+        ctx = VarContext(("y1", "y2", "y3"))
+        polys = []
+        for i, terms in gens:
+            if i < 3:
+                terms[tuple(2 * (j == i) for j in range(3))] = 1
+            if terms:
+                polys.append(Polynomial(ctx, terms))
+        if not polys:
+            return
+        system = SynthesisSystem(ctx, tuple(polys), q_count=len(polys), rounds=1)
+        ys = sympy.symbols(ctx.names)
+        theirs = sympy.groebner([sympy.Poly.from_dict(p.terms, ys).as_expr()
+                                 for p in polys], *ys, order="grevlex", domain="QQ")
+        # sympy calls the unit ideal not zero-dimensional; its empty set of
+        # solutions is finite
+        finite = theirs.exprs == [1] or theirs.is_zero_dimensional
+        assert classify_finiteness(system) == ("finite" if finite else "infinite")

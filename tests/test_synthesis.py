@@ -2,7 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loopsynth import (Budget, BudgetExceeded, ConcreteLoop,
                        InvariantSpec, LoopTemplate, Polynomial, VarContext,
@@ -248,6 +248,28 @@ class TestSimulateAndCheck:
         with pytest.raises(BudgetExceeded):
             check_invariants(loop, inv, max_rounds=2)
 
+    def test_exit_ends_the_walk(self):
+        # the loop visits 0, 1, 2, 3 and exits; the factors (x - 10)..(x - 21)
+        # keep the ideal chain growing past 8 rounds, which no visited state
+        # needs
+        far = "*".join(f"(x - {c})" for c in range(10, 22))
+        for factors, holds in [("x*(x - 1)*(x - 2)*(x - 3)", True),
+                               ("x*(x - 1)*(x - 3)", False)]:
+            doc = parse_problem(f"vars x\ninit 0\nguard x - 3\nupdate x: x + 1\n"
+                                f"invariant {factors}*{far}\n")
+            assert check_invariants(doc.loop, doc.invariants, max_rounds=8) is holds
+
+    def test_refutation_at_state_one_composes_nothing(self, monkeypatch):
+        X = VarContext(("x",))
+        P = lambda s: parse_polynomial(s, X)
+        loop = ConcreteLoop(X, (0,), P("1"), (P("x + 1"),))
+        composed = []
+        compose = Polynomial.compose
+        monkeypatch.setattr(Polynomial, "compose",
+                            lambda p, images: composed.append(p) or compose(p, images))
+        assert not check_invariants(loop, InvariantSpec((P("x"),)))
+        assert composed == []
+
     def test_budget_propagates(self, known_root_loop, cubic_invariants):
         with pytest.raises(BudgetExceeded):
             check_invariants(known_root_loop, cubic_invariants,
@@ -259,6 +281,43 @@ class TestSimulateAndCheck:
         assert budget.steps == 10
         with pytest.raises(BudgetExceeded):
             simulate(known_root_loop, cubic_invariants, 11, budget=budget)
+
+
+def _stepping_simulate(loop, invariants, steps, budget):
+    """simulate as one loop over the steps, the guard tested after the
+    invariants at each state."""
+    names = loop.context.names
+    state = dict(zip(names, loop.init))
+    for m in range(steps + 1):
+        if any(g.evaluate(state) != 0 for g in invariants.polys):
+            return False
+        if loop.guard.evaluate(state) == 0:
+            return True
+        if m == steps:
+            break
+        budget.tick()
+        state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.tuples(st.sampled_from(["x1 + 1", "x1 - 1", "2*x1", "x1 + x2"]),
+                 st.sampled_from(["x2", "x2 + 1", "-x2", "x1*x2"])),
+       st.one_of(st.just("1"), st.builds("x1 - ({})".format, st.integers(-4, 8)),
+                 st.builds("x2 - ({})".format, st.integers(-2, 3))),
+       st.lists(st.integers(-4, 8), min_size=1, max_size=6, unique=True),
+       st.integers(1, 6))
+@example((3, 0), ("x1 + 1", "x2"), "x1 - 3", [3], 4)  # exit at state 0
+@example((0, 0), ("x1 + 1", "x2"), "x1 - 4", [0, 1, 2, 3, 4], 4)  # at the horizon
+@example((0, 0), ("x1 + 1", "x2"), "x1 - 4", [0, 1, 2, 3], 4)  # violated there
+def test_simulate_matches_the_stepping_loop(init, update, guard, roots, steps):
+    # the invariant vanishes exactly where x1 is one of the roots
+    loop = ConcreteLoop(X2, init, P2(guard), tuple(P2(u) for u in update))
+    inv = InvariantSpec((P2("*".join(f"(x1 - ({c}))" for c in roots)),))
+    ours, theirs = Budget(), Budget()
+    assert simulate(loop, inv, steps, ours) == _stepping_simulate(loop, inv, steps, theirs)
+    assert ours.steps == theirs.steps
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +419,10 @@ class TestReducedLoopAgrees:
         for loop, inv in cases:
             start = dict(zip(loop.context.names, loop.init))
             want = _unreduced_loop(inv.polys, loop.update, loop.guard, start)
-            rounds = synthesis._invariant_set(inv.polys, loop.update, loop.guard,
-                                              DEFAULT_MAX_ROUNDS, None, start)
             assert check_invariants(loop, inv) == (want is not None)
             if want is not None:
+                *_, rounds = synthesis._rounds(inv.polys, loop.update, loop.guard,
+                                               DEFAULT_MAX_ROUNDS, None)
                 assert rounds == want[1]
                 assert synthesis._generators(
                     inv.polys, loop.update, loop.guard,
