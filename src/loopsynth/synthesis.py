@@ -37,6 +37,9 @@ the guard values passed are nonzero, round k's batch vanishes at a iff g
 vanishes at the k-th state.  At a state where h vanishes the loop exits
 and the walk ends: every later batch value carries that zero guard value
 as a factor, so True is then the exact verdict, with no further round.
+At a state equal to an earlier one the walk ends too: the orbit from there
+repeats states already checked, so g vanishes at every later state, every
+later batch value is zero, and True is again exact.
 For synthesis the map G also maps the coefficient block y identically,
 the search runs over (x, y), and the returned system is S at x = a: as
 (q o G)(a, y) = q(G_x(a, y), y), the same orbit walked symbolically.
@@ -45,7 +48,6 @@ the search runs over (x, y), and the returned system is S at x = a: as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from . import groebner  # buchberger through the module, where a wrapper sees it
@@ -271,10 +273,15 @@ def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
     """Concrete loop from a coefficient vector (sequence in y-order, or a
     mapping keyed by the coefficient names)."""
     names = template.coefficient_names
+    if isinstance(coeffs, str):
+        raise ValueError(f"coefficients must be a sequence or a mapping, not {coeffs!r}")
     if isinstance(coeffs, Mapping):
         missing = [n for n in names if n not in coeffs]
         if missing:
             raise ValueError(f"missing coefficients {missing}")
+        unknown = [n for n in coeffs if n not in names]
+        if unknown:
+            raise ValueError(f"unknown coefficients {unknown}")
         vals = [as_rational(coeffs[n]) for n in names]
     else:
         vals = [as_rational(v) for v in coeffs]
@@ -297,25 +304,31 @@ def check_invariants(loop: ConcreteLoop, invariants: InvariantSpec,
                      budget: Budget | None = None) -> bool:
     """Exact invariance test: all g vanish on every reachable state iff a
     lies in the invariant set of V(g) under F with the guard h as a factor:
-    one state per round, and an exit ends the walk (module docstring)."""
+    one state per round, and a loop that exits or revisits a state is
+    decided by the states it visits (module docstring)."""
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
     rounds = _rounds(invariants.polys, loop.update, loop.guard, max_rounds, budget)
+    seen = set()
     for _, state in zip(rounds, _states(loop)):
+        key = tuple(state.values())
+        if key in seen:
+            return True
         if any(g.evaluate(state) != 0 for g in invariants.polys):
             return False
+        if loop.guard.evaluate(state) == 0:
+            return True
+        seen.add(key)
     return True
 
 
 def _states(loop: ConcreteLoop, budget: Budget | None = None) -> Iterator[dict]:
-    """The states the loop visits, as name -> value maps, from init up to the
-    first one where the guard vanishes; the budget ticks once per move."""
+    """The orbit of init under the update map, as name -> value maps; the
+    budget ticks once per move.  The consumer tests the guard."""
     names = loop.context.names
     state = dict(zip(names, loop.init))
     while True:
         yield state
-        if loop.guard.evaluate(state) == 0:
-            return
         if budget is not None:
             budget.tick()
         state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
@@ -331,7 +344,8 @@ def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
         raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
-    for state in islice(_states(loop, budget), steps + 1):
+    for k, state in enumerate(_states(loop, budget)):
         if any(g.evaluate(state) != 0 for g in invariants.polys):
             return False
-    return True
+        if k == steps or loop.guard.evaluate(state) == 0:
+            return True

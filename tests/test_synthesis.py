@@ -8,7 +8,7 @@ from loopsynth import (Budget, BudgetExceeded, ConcreteLoop,
                        InvariantSpec, LoopTemplate, Polynomial, VarContext,
                        all_in_radical, buchberger, build_augmented_map,
                        check_invariants, generate_loops, instantiate,
-                       invariant_set, parse_polynomial, parse_problem,
+                       groebner, invariant_set, parse_polynomial, parse_problem,
                        simulate, synthesis)
 from loopsynth.polyring import as_rational
 from loopsynth.synthesis import DEFAULT_MAX_ROUNDS
@@ -180,6 +180,15 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate(cubic_template, {"y1": 1})
 
+    def test_a_string_is_not_split_into_coefficients(self, cubic_template):
+        with pytest.raises(ValueError, match="'12345'"):
+            instantiate(cubic_template, "12345")
+
+    def test_unknown_name(self, cubic_template):
+        coeffs = {"y1": -3, "y2": 3, "y3": 1, "y4": -1, "y5": 0, "y6": 99, "x1": 5}
+        with pytest.raises(ValueError, match=r"unknown coefficients \['y6', 'x1'\]"):
+            instantiate(cubic_template, coeffs)
+
 
 class TestSimulateAndCheck:
     def test_known_root_loop_passes(self, known_root_loop, cubic_invariants):
@@ -259,6 +268,33 @@ class TestSimulateAndCheck:
                                 f"invariant {factors}*{far}\n")
             assert check_invariants(doc.loop, doc.invariants, max_rounds=8) is holds
 
+    def test_exit_is_decided_before_the_next_round(self, monkeypatch):
+        # the guard vanishes at state 3, so the ideal work is that of rounds
+        # 1 and 2 (a basis and a radical test each); round 3's is skipped
+        runs = _count_buchberger(monkeypatch)
+        far = "*".join(f"(x - {c})" for c in range(10, 22))
+        doc = parse_problem(f"vars x\ninit 0\nguard x - 3\nupdate x: x + 1\n"
+                            f"invariant x*(x - 1)*(x - 2)*(x - 3)*{far}\n")
+        assert check_invariants(doc.loop, doc.invariants)
+        assert len(runs) == 4
+
+    def test_fixed_point_ends_the_walk(self, monkeypatch):
+        # 0 -> 0: state 1 revisits state 0, before any round's ideal work;
+        # the chain for this g needs more than 2 rounds to stabilize
+        runs = _count_buchberger(monkeypatch)
+        doc = parse_problem("vars x\ninit 0\nupdate x: x^2\ninvariant "
+                            "x*(x - 1)*(x - 2)*(x - 4)*(x - 16)*(x - 256)*(x - 65536)\n")
+        assert check_invariants(doc.loop, doc.invariants, max_rounds=2)
+        assert runs == []
+
+    @pytest.mark.parametrize("factors, holds", [("x*(x - 1)", False),
+                                                ("x*(x - 1)*(x - 2)", True)])
+    def test_cycle_ends_the_walk(self, factors, holds):
+        # 0 -> 1 -> 2 -> 0: state 2 is checked before state 3 revisits state 0
+        doc = parse_problem(f"vars x\ninit 0\nupdate x: 1 + x - 3/2*x*(x - 1)\n"
+                            f"invariant {factors}\n")
+        assert check_invariants(doc.loop, doc.invariants) is holds
+
     def test_refutation_at_state_one_composes_nothing(self, monkeypatch):
         X = VarContext(("x",))
         P = lambda s: parse_polynomial(s, X)
@@ -281,6 +317,47 @@ class TestSimulateAndCheck:
         assert budget.steps == 10
         with pytest.raises(BudgetExceeded):
             simulate(known_root_loop, cubic_invariants, 11, budget=budget)
+
+
+def _count_buchberger(monkeypatch):
+    runs = []
+    run = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *a, **k: runs.append(a) or run(*a, **k))
+    return runs
+
+
+def _orbit_verdict(loop, invariants):
+    """Invariance by walking the orbit up to its first exit or revisit."""
+    names = loop.context.names
+    state, seen = dict(zip(names, loop.init)), set()
+    while tuple(state.values()) not in seen:
+        if any(g.evaluate(state) != 0 for g in invariants.polys):
+            return False
+        if loop.guard.evaluate(state) == 0:
+            return True
+        seen.add(tuple(state.values()))
+        state = {n: u.evaluate(state) for n, u in zip(names, loop.update)}
+    return True
+
+
+# each update maps {-1, 0, 1}^2 into itself, so every orbit revisits a state
+_BOUNDED_UPDATES = ["x1", "x2", "-x1", "-x2", "x1*x2", "x1^2", "-x2^2", "0", "1"]
+_LINES = st.builds("{} - ({})".format,
+                   st.sampled_from(["x1", "x2", "x1 + x2", "x1 - x2"]), st.integers(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+       st.tuples(st.sampled_from(_BOUNDED_UPDATES), st.sampled_from(_BOUNDED_UPDATES)),
+       st.one_of(st.just("1"), _LINES),
+       st.lists(_LINES, min_size=1, max_size=3))
+@example((1, 0), ("x2", "-x1"), "1", ["x1 + x2 - 1", "x1 + x2 + 1"])  # a 4-cycle
+@example((1, 1), ("x1*x2", "-x2^2"), "1", ["x1 - x2"])  # violated at state 1
+def test_check_invariants_matches_the_orbit_walk(init, update, guard, factors):
+    loop = ConcreteLoop(X2, init, P2(guard), tuple(P2(u) for u in update))
+    inv = InvariantSpec((P2("*".join(f"({f})" for f in factors)),))
+    assert check_invariants(loop, inv) == _orbit_verdict(loop, inv)
 
 
 def _stepping_simulate(loop, invariants, steps, budget):
