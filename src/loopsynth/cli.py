@@ -14,13 +14,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from typing import Sequence
 
 from .polyring import ParseError
 from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
-from .problemfile import Settings, _resolve, parse_problem
+from .problemfile import (_OPTIONS, Settings, _integer, _resolve, _seconds,
+                          parse_problem)
 from .solve import discover_solver
 
 EXIT_OK = 0
@@ -40,27 +40,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    # isdigit() alone takes '²', which int() rejects
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if type(n := _integer(text)) is not int or n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
-    return int(text)
+    return n
 
 
 def _add_settings_flags(p: argparse.ArgumentParser, *, solver: bool) -> None:
-    # each dest is a Settings field, which checks the value
-    if solver:
-        p.add_argument("--domain", help="solution domain: integers or rationals "
-                       "(default from file, else integers)")
-        p.add_argument("--nonzero", help="nonzero policy: vector, none, or a "
-                       "coefficient name")
-        p.add_argument("--solver", help="solver command; {file} marks where the "
-                       "script path goes (overrides LOOPSYNTH_SOLVER)")
-        p.add_argument("--solve-budget", type=float, dest="solve_budget",
-                       metavar="SECONDS", help="external solver time limit")
-    p.add_argument("--synth-budget", type=float, dest="synth_budget",
-                   metavar="SECONDS", help="synthesis/verification time limit")
-    p.add_argument("--rounds", type=int, dest="max_rounds", metavar="N",
-                   help="stabilization round limit")
+    # one flag per run option; _overrides reads its text as an option line's
+    for key, (dest, read, text, solver_only) in _OPTIONS.items():
+        if solver or not solver_only:
+            p.add_argument("--" + key.replace("_", "-"), dest=dest, help=text,
+                           metavar={_seconds: "SECONDS", _integer: "N"}.get(read))
 
 
 def build_parser() -> _Parser:
@@ -96,15 +86,15 @@ def build_parser() -> _Parser:
 
 
 def _overrides(args) -> dict:
-    """The Settings fields set by this verb's flags, checked by Settings
-    as far as they do not depend on the problem.  A verb that runs a
-    solver without --solver checks LOOPSYNTH_SOLVER here too."""
-    names = {f.name for f in fields(Settings)}
-    kept = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    """The Settings fields set by this verb's flags, read as option lines
+    are and checked by Settings as far as they do not depend on the problem.
+    A verb that runs a solver checks its command or LOOPSYNTH_SOLVER too."""
+    kept = {f: read(text) for f, read, _, _ in _OPTIONS.values()
+            if (text := getattr(args, f, None)) is not None}
     try:
-        Settings(**kept)
-        if hasattr(args, "solver") and args.solver is None:
-            discover_solver()
+        settings = Settings(**kept)
+        if args.command != "check":  # synth and bench run a solver
+            discover_solver(settings.solver)
     except ValueError as exc:
         raise UsageError(str(exc))
     return kept
@@ -166,10 +156,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     cells = []
     for piece in text.split(","):
         piece = piece.strip()
-        try:
-            d_str, l_str = piece.split(":")
-            cell = (int(d_str), int(l_str))
-        except ValueError:
+        cell = tuple(_integer(t.strip()) for t in piece.split(":"))
+        if len(cell) != 2 or not all(type(t) is int for t in cell):
             raise UsageError(f"bad grid cell {piece!r}; expected D:L")
         if min(cell) < 1:
             raise UsageError(f"bad grid cell {piece!r}; D and L must be >= 1")

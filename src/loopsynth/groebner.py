@@ -235,9 +235,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
     """Reduced Groebner basis of <gens>.
 
     Normal strategy (minimal lcm in the order, ties by pair index) over the
-    pairs that the Gebauer-Moller update keeps, content division after every
-    reduction, and an early exit to the basis {1} as soon as a reduction
-    produces a nonzero constant.  budget.tick() runs once per treated pair.
+    pairs that the Gebauer-Moller update keeps and content division after
+    every reduction.  budget.tick() runs once per treated pair.
 
     update(h) adds the generator h.  Of the new pairs (g, h) it keeps one
     per minimal lcm (criteria M and F) and drops those whose leading
@@ -294,12 +293,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX,
             budget.tick()
         r = normal_form(Polynomial._trusted(ctx, _s_pair(G[i], G[j])),
                         [G[k] for k in active], order, budget)
-        if r.is_zero:
-            continue
-        if r.total_degree() == 0:
-            one = Polynomial.one(ctx)
-            return GroebnerBasis(ctx, order, (_reducer(one, order),))
-        update(_reducer(r, order))
+        if not r.is_zero:
+            update(_reducer(r, order))
 
     basis = sorted([G[k] for k in active], key=lambda d: key(d[0]))
     # interreduce tails: no leading monomial of a minimal basis is

@@ -19,9 +19,9 @@ format_polynomial is:
     factor   := atom ['^' INT]
     atom     := INT | NAME | '(' expr ')'
 
-INT is a run of ASCII digits.  Multiplication is always explicit,
-exponents are nonnegative integers, and division is only allowed by a
-nonzero integer literal (x/2, 3/4*x).
+INT is a run of ASCII digits.  Multiplication is always explicit, exponents
+are nonnegative integers, division is only allowed by a nonzero integer
+literal (x/2, 3/4*x), and parentheses nest at most MAX_NESTING deep.
 Printing uses the degrevlex order, largest term first.
 """
 
@@ -64,11 +64,12 @@ def as_rational(value) -> Coeff:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
-        try:
-            value = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
-        return as_rational(value)
+        if value.isascii() and "_" not in value:  # Fraction() takes '١' and '1_0'
+            try:
+                return as_rational(Fraction(value.strip()))
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f"not a rational literal: {value!r}")
     raise TypeError(f"not a rational: {value!r} (floats are rejected; use Fraction)")
 
 
@@ -509,6 +510,7 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 _TOKEN_OPS = set("+-*^()/")
+MAX_NESTING = 100  # parenthesis depth; a level takes 4 frames of the parser
 
 
 def _tokenize(text: str):
@@ -555,6 +557,7 @@ class _Parser:
     def __init__(self, text: str, context: VarContext):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0
         self.context = context
 
     def peek(self):
@@ -631,8 +634,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", line, col)
             return Polynomial.variable(self.context, val)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:  # before Python's recursion limit
+                raise ParseError(f"parentheses nested past {MAX_NESTING}", line, col)
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input",
                          line, col)

@@ -17,8 +17,10 @@
 A file uses either gen lines (every variable needs at least one) or
 update lines (exactly one per variable), never both.  Repeated gen lines
 for one variable accumulate; vars and init accept commas as separators;
-init values are exact rationals (1, -1, 1/2, 0.25).  Polynomials follow
-the grammar documented in the polynomial module; errors carry line:col.
+init values are exact rationals (1, -1, 1/2, 0.25).  Every numeral is
+ASCII with no '_'.  Polynomials follow the grammar documented in the
+polynomial module; errors carry line:col.  _OPTIONS declares the options
+once: cli builds a flag from each and reads its text as the line's.
 """
 
 from __future__ import annotations
@@ -59,10 +61,30 @@ class Settings:
             raise ValueError(f"rounds must be an integer >= 1, not {self.max_rounds!r}")
 
 
-# option key -> (Settings field, type of its value)
-_OPTIONS = {"domain": ("domain", str), "nonzero": ("nonzero", str),
-            "solver": ("solver", str), "solve_budget": ("solve_budget", float),
-            "synth_budget": ("synth_budget", float), "rounds": ("max_rounds", int)}
+def _integer(text: str):
+    # ASCII digits, else the text, for Settings to reject (int() takes '١_0')
+    return int(text) if text.isascii() and text.isdigit() else text
+
+
+def _seconds(text: str):
+    # an ASCII decimal with no '_', else the text (float() takes '١_0' too)
+    try:
+        return float(text) if text.isascii() and "_" not in text else text
+    except ValueError:
+        return text
+
+
+# The one declaration of the run options, for option lines and cli flags:
+# key -> (Settings field, reader of its text, flag help, solver verbs only)
+_OPTIONS = {
+    "domain": ("domain", str, "solution domain: integers or rationals (default from "
+               "file, else integers)", True),
+    "nonzero": ("nonzero", str, "nonzero policy: vector, none, or a coefficient name", True),
+    "solver": ("solver", str, "solver command; {file} marks where the script path goes "
+               "(overrides LOOPSYNTH_SOLVER)", True),
+    "solve_budget": ("solve_budget", _seconds, "external solver time limit", True),
+    "synth_budget": ("synth_budget", _seconds, "synthesis/verification time limit", False),
+    "rounds": ("max_rounds", _integer, "stabilization round limit", False)}
 
 
 @dataclass(frozen=True)
@@ -83,14 +105,6 @@ class ProblemDoc:
 
 def _fail(msg: str, line: int, col: int = 1):
     raise ParseError(msg, line, col)
-
-
-def _typed(kind: type, text: str):
-    # text that does not convert stays text, for Settings to reject by name
-    try:
-        return kind(text)
-    except ValueError:
-        return text
 
 
 def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
@@ -185,18 +199,16 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                     _fail("empty update", lineno, body_col)
                 updates[var] = _reparse(body.strip(), ctx, lineno, body_col + pad)
         elif word == "option":
-            parts = rest.split(None, 1)
-            if not parts:
+            if not rest:
                 _fail("option needs a key", lineno, rest_col)
-            key = parts[0]
-            val = parts[1].strip() if len(parts) > 1 else ""
+            key, *val = rest.split(None, 1)  # rest is stripped
             if not val:
                 _fail(f"option {key} needs a value", lineno, rest_col)
             if key not in _OPTIONS:
                 _fail(f"unknown option {key!r}", lineno, rest_col)
-            attr, kind = _OPTIONS[key]
+            attr, read, _, _ = _OPTIONS[key]
             try:
-                settings = replace(settings, **{attr: _typed(kind, val)})
+                settings = replace(settings, **{attr: read(val[0])})
             except ValueError as exc:
                 _fail(str(exc), lineno, rest_col)
             if key == "nonzero":

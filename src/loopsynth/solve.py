@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .budget import Budget, BudgetExceeded
 from .groebner import buchberger, is_zero_dimensional
 from .polyring import Coeff, Polynomial, as_rational
-from .synthesis import SynthesisSystem
+from .synthesis import SynthesisSystem, _coefficient_values
 
 DOMAINS = ("integers", "rationals")
 DEFAULT_DOMAIN = "integers"
@@ -261,10 +261,10 @@ def _policy_holds(assignment: Mapping[str, Coeff], nonzero: str,
 
 def verify_assignment(request: SolveRequest,
                       assignment: Mapping[str, Coeff]) -> bool:
-    """Exact check: every system polynomial vanishes, the nonzero policy
-    holds, and integer domain really got integers."""
+    """Exact check of a value for each of the system's names (ValueError names
+    any other): every polynomial vanishes, the policy and domain hold."""
     names = request.system.context.names
-    point = {n: as_rational(assignment[n]) for n in names}
+    point = dict(zip(names, _coefficient_values(names, assignment)))
     if request.domain == "integers" and any(v.denominator != 1 for v in point.values()):
         return False
     if not _policy_holds(point, request.nonzero, names):

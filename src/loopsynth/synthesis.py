@@ -48,7 +48,8 @@ the search runs over (x, y), and the returned system is S at x = a: as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
@@ -59,11 +60,22 @@ DEFAULT_MAX_ROUNDS = 32
 SIMULATION_STEPS = 10
 
 
-def _require_program_context(ctx: VarContext, what: str):
-    if ctx.y_names or ctx.t_name:
-        raise ValueError(f"{what} must use a program-variable context only")
-    if not ctx.x_names:
-        raise ValueError(f"{what} needs at least one program variable")
+def _check_loop(loop, polys: Iterable[Polynomial]) -> None:
+    """The checks LoopTemplate and ConcreteLoop share: a context of program
+    variables, init as one rational per variable, guard and polys over it."""
+    ctx = loop.context
+    if ctx.y_names or ctx.t_name or not ctx.x_names:
+        raise ValueError(f"{type(loop).__name__} needs a context of program variables only")
+    if isinstance(loop.init, str):
+        raise ValueError(f"init must be a sequence of values, not {loop.init!r}")
+    object.__setattr__(loop, "init", tuple(as_rational(v) for v in loop.init))
+    if len(loop.init) != ctx.arity:
+        raise ValueError(f"init needs {ctx.arity} values, got {len(loop.init)}")
+    if loop.guard.context != ctx:
+        raise ValueError("the guard must live in the loop's context")
+    for p in polys:
+        if p.context != ctx:
+            raise ValueError("every polynomial must live in the loop's context")
 
 
 @dataclass(frozen=True)
@@ -76,25 +88,14 @@ class LoopTemplate:
     generators: tuple[tuple[Polynomial, ...], ...]
 
     def __post_init__(self):
-        _require_program_context(self.context, "LoopTemplate")
-        if isinstance(self.init, str):
-            raise ValueError(f"init must be a sequence of values, not {self.init!r}")
-        n = self.context.arity
-        object.__setattr__(self, "init", tuple(as_rational(v) for v in self.init))
-        if len(self.init) != n:
-            raise ValueError(f"init needs {n} values, got {len(self.init)}")
-        if self.guard.context != self.context:
-            raise ValueError("guard must live in the template context")
         gens = tuple(tuple(gs) for gs in self.generators)
         object.__setattr__(self, "generators", gens)
-        if len(gens) != n:
-            raise ValueError(f"need one generator list per variable ({n})")
-        for i, gs in enumerate(gens):
+        _check_loop(self, chain.from_iterable(gens))
+        if len(gens) != len(self.init):  # one init value per variable
+            raise ValueError(f"need one generator list per variable ({len(self.init)})")
+        for name, gs in zip(self.context.names, gens):
             if not gs:
-                raise ValueError(f"variable {self.context.names[i]} has no generators")
-            for f in gs:
-                if f.context != self.context:
-                    raise ValueError("generators must live in the template context")
+                raise ValueError(f"variable {name} has no generators")
 
     @property
     def coeff_count(self) -> int:
@@ -161,19 +162,10 @@ class ConcreteLoop:
     update: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        _require_program_context(self.context, "ConcreteLoop")
-        if isinstance(self.init, str):
-            raise ValueError(f"init must be a sequence of values, not {self.init!r}")
-        n = self.context.arity
-        object.__setattr__(self, "init", tuple(as_rational(v) for v in self.init))
         object.__setattr__(self, "update", tuple(self.update))
-        if len(self.init) != n or len(self.update) != n:
-            raise ValueError("init and update must match the variable count")
-        if self.guard.context != self.context:
-            raise ValueError("guard must live in the loop context")
-        for u in self.update:
-            if u.context != self.context:
-                raise ValueError("updates must live in the loop context")
+        _check_loop(self, self.update)
+        if len(self.update) != len(self.init):  # one init value per variable
+            raise ValueError("need one update per variable")
 
 
 def invariant_set(g: Sequence[Polynomial], F: Sequence[Polynomial],
@@ -269,6 +261,17 @@ def generate_loops(template: LoopTemplate, invariants: InvariantSpec,
     return SynthesisSystem(yctx, polys, len(S), rounds)
 
 
+def _coefficient_values(names: Sequence[str], coeffs: Mapping) -> list[Coeff]:
+    """coeffs[n] for each n of names; ValueError names a missing or unknown one."""
+    missing = [n for n in names if n not in coeffs]
+    if missing:
+        raise ValueError(f"missing coefficients {missing}")
+    unknown = [n for n in coeffs if n not in names]
+    if unknown:
+        raise ValueError(f"unknown coefficients {unknown}")
+    return [as_rational(coeffs[n]) for n in names]
+
+
 def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
     """Concrete loop from a coefficient vector (sequence in y-order, or a
     mapping keyed by the coefficient names)."""
@@ -276,13 +279,7 @@ def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
     if isinstance(coeffs, str):
         raise ValueError(f"coefficients must be a sequence or a mapping, not {coeffs!r}")
     if isinstance(coeffs, Mapping):
-        missing = [n for n in names if n not in coeffs]
-        if missing:
-            raise ValueError(f"missing coefficients {missing}")
-        unknown = [n for n in coeffs if n not in names]
-        if unknown:
-            raise ValueError(f"unknown coefficients {unknown}")
-        vals = [as_rational(coeffs[n]) for n in names]
+        vals = _coefficient_values(names, coeffs)
     else:
         vals = [as_rational(v) for v in coeffs]
         if len(vals) != len(names):

@@ -92,6 +92,13 @@ class TestBuchberger:
         assert gb.is_unit
         assert list(gb) == [Polynomial.one(CTX)]
 
+    def test_constant_remainder_among_queued_pairs_ends_at_one(self):
+        # xy = 1 makes y a unit, y^3 = 0 makes it nilpotent: a later pair
+        # reduces to a constant while other pairs are still queued
+        gb = buchberger([P("x*y - 1"), P("x^2 - z"), P("y^3")])
+        assert gb.is_unit and list(gb) == [Polynomial.one(CTX)]
+        assert [d.poly for d in gb.reducers] == [Polynomial.one(CTX)]
+
     def test_single_generator(self):
         gb = buchberger([P("2*x^2 - 4*y")])
         assert list(gb) == [P("x^2 - 2*y")]

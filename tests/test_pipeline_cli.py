@@ -9,6 +9,7 @@ import pytest
 from loopsynth import (BudgetExceeded, grid_template, parse_problem, render_csv,
                        render_table, run_benchmarks, run_check, run_pipeline)
 from loopsynth.cli import main
+from loopsynth.polyring import MAX_NESTING
 
 FAST_SYNTH = """\
 vars x1 x2
@@ -35,6 +36,8 @@ update x2: x2 + 1
 """
 
 CUBIC_BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "intro_cubic.loop"
+
+DEEP = "(" * 3000 + "x1" + ")" * 3000
 
 
 @pytest.fixture
@@ -229,6 +232,13 @@ class TestRunBenchmarks:
         assert by_name["fast"].status == "ok"
         assert by_name["sum"].verified is True
 
+    def test_deep_nesting_is_an_invalid_row(self, tmp_path, fast_file, check_file):
+        (tmp_path / "deep.loop").write_text(CHECK.replace("invariant ", f"invariant {DEEP} + "))
+        by_name = {r.name: r for r in run_benchmarks([str(tmp_path)])}
+        assert by_name["deep"].status == "invalid" and "nested" in by_name["deep"].error
+        assert by_name["fast"].status == "ok"
+        assert by_name["sum"].verified is True
+
     def test_grid_cells_named(self, fast_file):
         reports = run_benchmarks([fast_file], grid=[(1, 3), (1, 4)])
         assert [r.name for r in reports] == ["fast[D=1,l=3]", "fast[D=1,l=4]"]
@@ -391,6 +401,24 @@ class TestCli:
             assert main(["bench", fast_file, "--grid", cell]) == 1
             assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["1_0:3", "1:٣", "1:3:4"])
+    def test_grid_numerals_are_ascii_digits(self, fast_file, capsys, cell):
+        assert main(["bench", fast_file, "--grid", cell]) == 1
+        assert f"bad grid cell {cell!r}" in capsys.readouterr().err
+
+    def test_deep_nesting_is_a_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.loop"
+        deep.write_text(CHECK.replace("invariant ", f"invariant {DEEP} + "))
+        assert main(["check", str(deep)]) == 1
+        assert f"deep.loop:3:{11 + MAX_NESTING}: parentheses nested" in capsys.readouterr().err
+
+    def test_bench_runs_the_other_rows_past_deep_nesting(self, tmp_path, fast_file,
+                                                         capsys):
+        (tmp_path / "deep.loop").write_text(CHECK.replace("invariant ", f"invariant {DEEP} + "))
+        assert main(["bench", str(tmp_path)]) == 1
+        rows = [line.split()[:3] for line in capsys.readouterr().out.splitlines()[2:4]]
+        assert rows == [["deep", "-", "invalid"], ["fast", "synth", "ok"]]
+
     def test_synth_budget_out_during_verification(self, fast_file, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.setattr("loopsynth.pipeline.check_invariants", out_of_budget)
@@ -412,7 +440,8 @@ class TestCli:
         assert code == 0
         table = capsys.readouterr().out
         assert table.splitlines()[0].startswith("problem")
-        assert len(list(csv.DictReader(out.open()))) == 2
+        with out.open() as fh:
+            assert len(list(csv.DictReader(fh))) == 2
 
     def test_bench_error_exit_code(self, tmp_path, capsys):
         broken = tmp_path / "broken.loop"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loopsynth import (ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial,
                        DEGREVLEX, LEX)
-from loopsynth.polyring import as_rational, format_polynomial, fresh_name
+from loopsynth.polyring import MAX_NESTING, as_rational, format_polynomial, fresh_name
 
 CTX = VarContext(("x", "y", "z"))
 
@@ -68,6 +68,12 @@ class TestRationalBoundary:
             as_rational(0.5)
         with pytest.raises(TypeError):
             as_rational(True)
+
+    @pytest.mark.parametrize("text", ["١", "1_0", "1/2_0", "٣/4", "²"])
+    def test_numerals_are_ascii_without_underscores(self, text):
+        # Fraction() takes the first four
+        with pytest.raises(ValueError, match="not a rational literal"):
+            as_rational(text)
 
     def test_polynomial_rejects_float_coeff(self):
         with pytest.raises(TypeError):
@@ -289,6 +295,13 @@ class TestParser:
             P("(x + y")
         with pytest.raises(ParseError):
             P("x + y)")
+
+    def test_nesting_has_a_limit(self):
+        assert P("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == P("x")
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError, match="nested") as exc:
+                P("x +\n " + "(" * depth + "x" + ")" * depth)
+            assert (exc.value.line, exc.value.col) == (2, 2 + MAX_NESTING)
 
 
 class TestRingAxioms:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from loopsynth import ParseError, parse_polynomial, parse_problem
+from loopsynth.polyring import MAX_NESTING
 
 SYNTH = """\
 # two-variable template
@@ -115,6 +116,16 @@ class TestErrors:
     def test_garbage_init_rejected(self):
         e = self.err("vars x\ninit one\ninvariant x\ngen x: x\n")
         assert e.line == 2
+
+    @pytest.mark.parametrize("value", ["١", "1_0"])
+    def test_init_numerals_are_ascii_without_underscores(self, value):
+        e = self.err(f"vars x\ninit {value}\ninvariant x\ngen x: x\n")
+        assert e.line == 2 and "not a rational literal" in e.message
+
+    def test_deep_nesting_is_a_parse_error(self):
+        e = self.err("vars x\ninit 1\ninvariant " + "(" * 3000 + "x" + ")" * 3000
+                     + "\ngen x: x\n")
+        assert (e.line, e.col) == (3, 11 + MAX_NESTING) and "nested" in e.message
 
     def test_unknown_option(self):
         e = self.err("vars x\ninit 1\ninvariant x\ngen x: x\noption color red\n")

@@ -120,6 +120,14 @@ class TestVerifyAssignment:
         req = SolveRequest(mksys(("y1",), "y1^2"))
         assert not verify_assignment(req, {"y1": Fraction(0)})
 
+    @pytest.mark.parametrize("assignment, named", [
+        ({"y1": 1}, "missing coefficients \\['y2'\\]"),
+        ({"y1": 1, "y2": 0, "y9": 5}, "unknown coefficients \\['y9'\\]")])
+    def test_names_are_exactly_the_systems(self, assignment, named):
+        req = SolveRequest(mksys(("y1", "y2"), "y1 - 1"))
+        with pytest.raises(ValueError, match=named):
+            verify_assignment(req, assignment)
+
 
 class TestExternalSolver:
     def setup_method(self):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from loopsynth import (Budget, BudgetExceeded, ConcreteLoop,
                        groebner, invariant_set, parse_polynomial, parse_problem,
                        simulate, synthesis)
 from loopsynth.polyring import as_rational
+from loopsynth.solve import SolveRequest, verify_assignment
 from loopsynth.synthesis import DEFAULT_MAX_ROUNDS
 
 X2 = VarContext(("x1", "x2"))
@@ -60,6 +62,40 @@ class TestTemplates:
         with pytest.raises(TypeError):
             LoopTemplate(X2, (0.5, 1), P2("1"),
                          ((P2("x1"),), (P2("x2"),)))
+
+    XY = VarContext(("x1",), ("y1",))
+
+    @pytest.mark.parametrize("context, init, guard, poly, match", [
+        (XY, (1,), "1", "x1", "program variables only"),
+        (X2, "12", "1", "x1", "init must be a sequence"),
+        (X2, (1, "١"), "1", "x1", "not a rational literal"),
+        (X2, (1,), "1", "x1", "init needs 2 values, got 1"),
+        (X2, (1, 1), "x1*y1", "x1", "guard"),
+        (X2, (1, 1), "1", "y1", "every polynomial"),
+    ])
+    def test_template_and_loop_share_one_shape_check(self, monkeypatch, context, init,
+                                                     guard, poly, match):
+        def mk(text):  # over X2 unless it names y1
+            return parse_polynomial(text, self.XY if "y1" in text else context)
+
+        calls = []
+        shared = synthesis._check_loop
+        monkeypatch.setattr(synthesis, "_check_loop",
+                            lambda loop, polys: calls.append(loop) or shared(loop, polys))
+        n = context.arity
+        with pytest.raises(ValueError, match=match):
+            LoopTemplate(context, init, mk(guard), tuple((mk(poly),) for _ in range(n)))
+        with pytest.raises(ValueError, match=match):
+            ConcreteLoop(context, init, mk(guard), tuple(mk(poly) for _ in range(n)))
+        assert [type(loop) for loop in calls] == [LoopTemplate, ConcreteLoop]
+
+    def test_each_class_checks_its_own_lists(self):
+        with pytest.raises(ValueError, match="one generator list per variable"):
+            LoopTemplate(X2, (1, 1), P2("1"), ((P2("x1"),),))
+        with pytest.raises(ValueError, match="variable x2 has no generators"):
+            LoopTemplate(X2, (1, 1), P2("1"), ((P2("x1"),), ()))
+        with pytest.raises(ValueError, match="one update per variable"):
+            ConcreteLoop(X2, (1, 1), P2("1"), (P2("x1"),))
 
 
 class TestAugmentedMap:
@@ -188,6 +224,23 @@ class TestInstantiate:
         coeffs = {"y1": -3, "y2": 3, "y3": 1, "y4": -1, "y5": 0, "y6": 99, "x1": 5}
         with pytest.raises(ValueError, match=r"unknown coefficients \['y6', 'x1'\]"):
             instantiate(cubic_template, coeffs)
+
+    def test_instantiate_and_verify_assignment_share_one_name_check(
+            self, cubic_template, monkeypatch):
+        # the package attribute loopsynth.solve is the function
+        solve_module = importlib.import_module("loopsynth.solve")
+        assert solve_module._coefficient_values is synthesis._coefficient_values
+        calls = []
+        shared = synthesis._coefficient_values
+        monkeypatch.setattr(synthesis, "_coefficient_values",
+                            lambda names, coeffs: calls.append(names) or shared(names, coeffs))
+        monkeypatch.setattr(solve_module, "_coefficient_values", synthesis._coefficient_values)
+        system = synthesis.SynthesisSystem(
+            VarContext(cubic_template.coefficient_names), (), 1, 1)
+        coeffs = {"y1": -3, "y2": 3, "y3": 1, "y4": -1, "y5": 0}
+        instantiate(cubic_template, coeffs)
+        assert verify_assignment(SolveRequest(system), coeffs)
+        assert calls == [cubic_template.coefficient_names] * 2
 
 
 class TestSimulateAndCheck:
