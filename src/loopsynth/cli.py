@@ -88,12 +88,13 @@ def build_parser() -> _Parser:
 def _overrides(args) -> dict:
     """The Settings fields set by this verb's flags, read as option lines
     are and checked by Settings as far as they do not depend on the problem.
-    A verb that runs a solver checks its command or LOOPSYNTH_SOLVER too."""
+    bench checks its solver command or LOOPSYNTH_SOLVER too, before any
+    file is read; synth checks them once the file's options are known."""
     kept = {f: read(text) for f, read, _, _ in _OPTIONS.values()
             if (text := getattr(args, f, None)) is not None}
     try:
         settings = Settings(**kept)
-        if args.command != "check":  # synth and bench run a solver
+        if args.command == "bench":
             discover_solver(settings.solver)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -183,6 +184,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
                                  f"lines, this file has {lines[fits]} lines (use {fits})")
             if args.command == "synth":
+                try:  # an option solver line replaces LOOPSYNTH_SOLVER
+                    discover_solver(doc.settings.solver)
+                except ValueError as exc:
+                    raise UsageError(str(exc))
                 try:
                     report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
                 except OSError as exc:

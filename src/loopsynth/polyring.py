@@ -21,7 +21,8 @@ format_polynomial is:
 
 INT is a run of ASCII digits.  Multiplication is always explicit, exponents
 are nonnegative integers, division is only allowed by a nonzero integer
-literal (x/2, 3/4*x), and parentheses nest at most MAX_NESTING deep.
+literal (x/2, 3/4*x), parentheses nest at most MAX_NESTING deep, and a
+product or power that could expand past MAX_TERMS terms is refused.
 Printing uses the degrevlex order, largest term first.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -346,6 +347,10 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:  # a bool goes on to raise
+            return self._wrap(_int_when_integral(
+                {e: c * other for e, c in self.terms.items()} if other else {},
+                self.terms.values(), (other,)))
         other = self._operand(other)
         if other is None:
             return NotImplemented
@@ -394,7 +399,10 @@ class Polynomial:
         for n in self.context.names:
             if n not in point:
                 raise KeyError(f"evaluate: no value for variable {n!r}")
-            vals.append(as_rational(point[n]))
+            v = point[n]
+            vals.append(v if type(v) is int else as_rational(v))
+        if len(self.terms) <= 1 and not any(next(iter(self.terms), ())):  # 0 or c
+            return next(iter(self.terms.values()), 0)
         total = 0
         for expo, c in self.terms.items():
             term = c
@@ -402,7 +410,7 @@ class Polynomial:
                 if e:
                     term *= v ** e
             total += term
-        return as_rational(total)
+        return total if type(total) is int else as_rational(total)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable (one image per context
@@ -511,6 +519,7 @@ def format_polynomial(p: Polynomial) -> str:
 
 _TOKEN_OPS = set("+-*^()/")
 MAX_NESTING = 100  # parenthesis depth; a level takes 4 frames of the parser
+MAX_TERMS = 1000  # terms of an expanded product or power
 
 
 def _tokenize(text: str):
@@ -573,6 +582,14 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", line, col)
 
+    def bound(self, degree: int, line: int, col: int) -> None:
+        # called before expanding a result whose operands' term counts allow
+        # more than MAX_TERMS terms; it has at most one per monomial of
+        # degree up to `degree`, so it is refused if those pass MAX_TERMS too
+        n = self.context.arity
+        if comb(n + degree, n) > MAX_TERMS:
+            raise ParseError(f"expansion could pass {MAX_TERMS} terms", line, col)
+
     def parse(self) -> Polynomial:
         kind, _, line, col = self.peek()
         if kind == "end":
@@ -600,10 +617,13 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while True:
-            kind, val, _, _ = self.peek()
+            kind, val, line, col = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                if len(p) * len(q) > MAX_TERMS:
+                    self.bound(p.total_degree() + q.total_degree(), line, col)
+                p = p * q
             elif kind == "op" and val == "/":
                 self.take()
                 kind, val, line, col = self.take()
@@ -616,13 +636,21 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         p = self.atom()
-        kind, val, _, _ = self.peek()
+        kind, val, line, col = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            kind, val, line, col = self.take()
+            kind, val, eline, ecol = self.take()
             if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", line, col)
-            p = p ** int(val)
+                raise ParseError("exponent must be a nonnegative integer", eline, ecol)
+            k = int(val)
+            # p^k has at most one term per way to choose k of p's terms with
+            # repetition.  Both bounds grow with k, and for p of 2 or more
+            # terms both pass MAX_TERMS at k = MAX_TERMS + 1, so j decides as
+            # k would, without a huge binomial.
+            j = min(k, MAX_TERMS + 1)
+            if p and comb(len(p) + j - 1, j) > MAX_TERMS:
+                self.bound(j * p.total_degree(), line, col)
+            p = p ** k
         return p
 
     def atom(self) -> Polynomial:

@@ -54,7 +54,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
 from .groebner import all_in_radical
-from .polyring import Coeff, Polynomial, VarContext, as_rational
+from .polyring import (Coeff, Polynomial, VarContext, _add_into, _int_when_integral,
+                       as_rational)
 
 DEFAULT_MAX_ROUNDS = 32
 SIMULATION_STEPS = 10
@@ -285,13 +286,14 @@ def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
         if len(vals) != len(names):
             raise ValueError(f"need {len(names)} coefficients, got {len(vals)}")
     updates = []
-    k = 0
+    vals = iter(vals)
     for gens in template.generators:
-        u = Polynomial.zero(template.context)
-        for f in gens:
-            u = u + f * vals[k]
-            k += 1
-        updates.append(u)
+        u: dict = {}  # sum_j vals_j * f_j, one terms dict
+        for f, v in zip(gens, vals):
+            if v:
+                _add_into(u, ((e, c * v) for e, c in f.terms.items()))
+        updates.append(Polynomial._trusted(template.context,
+                                           _int_when_integral(u, u.values(), ())))
     return ConcreteLoop(template.context, template.init, template.guard,
                         tuple(updates))
 
@@ -336,13 +338,27 @@ def simulate(loop: ConcreteLoop, invariants: InvariantSpec,
     """Run the loop exactly for up to `steps` iterations; False iff some
     visited state (the terminal one included, when the guard vanishes)
     violates an invariant.  Evidence only: True is no proof.  The budget,
-    when given, ticks once per step."""
+    when given, ticks once per step.
+
+    The walk ends at a state equal to an earlier one: the states after it
+    repeat checked ones (module docstring), so the verdict is True, and
+    the steps it skips still tick the budget.  One earlier state is kept,
+    replaced at steps 1, 2, 4, 8, ... (Brent's cycle test): a walk that
+    enters a cycle of length L after M steps ends by step 2*max(M, L) + L."""
     if type(steps) is not int or steps < 1:  # a bool is no count
         raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
     if invariants.context != loop.context:
         raise ValueError("invariants must live in the loop context")
+    saved = None
     for k, state in enumerate(_states(loop, budget)):
+        key = tuple(state.values())
+        if key == saved:
+            if budget is not None and k < steps:
+                budget.tick(steps - k)
+            return True
         if any(g.evaluate(state) != 0 for g in invariants.polys):
             return False
         if k == steps or loop.guard.evaluate(state) == 0:
             return True
+        if k & (k - 1) == 0:  # k is 0 or a power of 2
+            saved = key

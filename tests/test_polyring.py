@@ -1,13 +1,16 @@
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import (ContextMismatchError, ParseError, Polynomial,
-                       VarContext, parse_polynomial,
+                       VarContext, parse_polynomial, parse_problem,
                        DEGREVLEX, LEX)
-from loopsynth.polyring import MAX_NESTING, as_rational, format_polynomial, fresh_name
+from loopsynth.polyring import (MAX_NESTING, MAX_TERMS, _mul_terms, as_rational,
+                                format_polynomial, fresh_name)
 
 CTX = VarContext(("x", "y", "z"))
 
@@ -397,3 +400,79 @@ class TestRingMapsAgreeWithTheOldLoops:
     def test_extend_into_a_context_that_lacks_a_name(self):
         with pytest.raises(ContextMismatchError):
             P("x + z").extend_context(VarContext(("x", "y")))
+
+
+# ---------------------------------------------------------------------------
+# Multiplying by a number scales the coefficients; the reference is the route
+# through a constant polynomial and the product kernel.
+
+_NUMBERS = st.one_of(st.integers(-5, 5), _COEFFS, st.builds(Fraction, st.integers(-3, 3)))
+
+
+def _product_kernel_scale(p, v):
+    return Polynomial(p.context, _mul_terms(p.terms, {(0,) * p.context.arity: v} if v else {}))
+
+
+class TestScalingByANumber:
+    @settings(max_examples=100, deadline=None)
+    @given(_polys(SRC, 6, 3), _NUMBERS)
+    def test_matches_the_product_kernel(self, p, v):
+        _same_in_one_form(p * v, _product_kernel_scale(p, v))
+        _same_in_one_form(v * p, _product_kernel_scale(p, v))
+        if v:
+            _same_in_one_form(p / v, _product_kernel_scale(p, 1 / Fraction(v)))
+
+    def test_integral_result_is_an_int(self):
+        assert P("x/2") * 2 == P("x")
+        assert type((P("x/2") * 2).terms[(1, 0, 0)]) is int
+        assert (P("x + y") * 0).is_zero
+
+    @pytest.mark.parametrize("v", [True, False, 1.5])
+    def test_a_bool_or_a_float_still_raises(self, v):
+        with pytest.raises(TypeError):
+            P("x + 1") * v
+        with pytest.raises(TypeError):
+            v * P("x + 1")
+
+
+class TestEvaluateAConstant:
+    @pytest.mark.parametrize("text", ["0", "3", "-1/2"])
+    def test_a_missing_or_bad_value_still_raises(self, text):
+        with pytest.raises(KeyError, match="'z'"):
+            P(text).evaluate({"x": 1, "y": 2})
+        with pytest.raises(TypeError):
+            P(text).evaluate({"x": 1, "y": 2.0, "z": 0})
+        assert P(text).evaluate({"x": 1, "y": Fraction(2), "z": 0}) == as_rational(text)
+
+
+# ---------------------------------------------------------------------------
+# A product or power that could expand past MAX_TERMS is refused before it
+# is expanded, at its operator.
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+class TestExpansionBound:
+    @pytest.mark.parametrize("text, op", [("(x+y+z+1)^80", "^"),
+                                          ("*".join(["(x+y+z+1)"] * 80), "*")],
+                             ids=["power", "product"])
+    def test_a_large_expansion_is_refused_at_once(self, text, op):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=f"{MAX_TERMS} terms") as exc:
+            P(text)
+        assert time.perf_counter() - t0 < 1
+        assert exc.value.line == 1 and text[exc.value.col - 1] == op
+
+    def test_either_bound_admits_a_small_result(self):
+        X = VarContext(("x",))
+        # 41 * 41 terms could be, but degree 80 in one variable has 81 monomials
+        assert P("(1+x)^40 * (1+x)^40", X) == P("(1+x)^80", X)
+        # x, y, z have far more monomials of degree <= 100 than (x+1)^100 has terms
+        assert len(P("(x + 1)^100")) == 101
+        assert P("(x+y+z+1)^0 * 0^0") == 1 and P("0^5 * (x+y+z)^9").is_zero
+
+    def test_every_benchmark_file_parses(self):
+        files = sorted(BENCHMARKS.glob("*.loop"))
+        assert len(files) == 7
+        for path in files:
+            parse_problem(path.read_text(), name=path.stem)

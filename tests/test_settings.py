@@ -265,6 +265,13 @@ class TestSolverDiscovery:
         assert main(["synth", path, "--solver", "/nonexistent/solver"]) == 0
         assert "solver-unavailable" in capsys.readouterr().out
 
+    def test_solver_line_overrides_a_bad_environment_command(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        path = write(tmp_path, "fast.loop", FAST_SYNTH + "option solver /nonexistent/solver\n")
+        assert main(["synth", path]) == 0
+        assert "solver-unavailable" in capsys.readouterr().out
+
     def test_pipeline_checks_the_environment_command_first(self, monkeypatch,
                                                             no_synthesis):
         monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')

@@ -577,3 +577,100 @@ def test_batch_congruence_under_composition(q, S, F, h):
     r = buchberger(S).normal_form(q)
     nxt = buchberger(S + [h * p.compose(F) for p in S])
     assert nxt.normal_form(h * q.compose(F)) == nxt.normal_form(h * r.compose(F))
+
+
+# ---------------------------------------------------------------------------
+# The per-candidate fast paths, held to the loops they replace.
+
+def _summed_instantiate(template, coeffs):
+    """instantiate as a sum u + f * v per generator, each product taken
+    through a constant polynomial."""
+    names = template.coefficient_names
+    vals = ([as_rational(coeffs[n]) for n in names] if isinstance(coeffs, dict)
+            else [as_rational(v) for v in coeffs])
+    ctx, k, updates = template.context, 0, []
+    for gens in template.generators:
+        u = Polynomial.zero(ctx)
+        for f in gens:
+            u = u + f * Polynomial.constant(ctx, vals[k])
+            k += 1
+        updates.append(u)
+    return updates
+
+
+_NUMBER = st.one_of(st.integers(-3, 3), st.just(0),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+_GENERATOR = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _NUMBER,
+                             max_size=3).map(lambda t: Polynomial(X2, t))
+_CANDIDATES = st.lists(st.lists(_GENERATOR, min_size=1, max_size=3),
+                       min_size=2, max_size=2).map(
+    lambda gens: LoopTemplate(X2, (0, 1), P2("x1 - 2"), gens)).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(_NUMBER, min_size=t.coeff_count,
+                                             max_size=t.coeff_count)))
+_HALVES = LoopTemplate(X2, (0, 1), P2("1"), ((P2("x1/2"), P2("x1/2 + x2")), (P2("x2/3"),)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CANDIDATES, st.booleans())
+@example((_HALVES, [1, 1, 0]), False)  # halves sum to an int; a zero coefficient
+@example((_HALVES, [Fraction(2), -1, Fraction(3, 2)]), True)
+def test_instantiate_matches_the_summed_loop(candidate, as_map):
+    template, vals = candidate
+    coeffs = dict(zip(template.coefficient_names, vals)) if as_map else vals
+    loop = instantiate(template, coeffs)
+    for ours, theirs in zip(loop.update, _summed_instantiate(template, coeffs), strict=True):
+        assert ours.context == theirs.context
+        assert {m: (c, type(c)) for m, c in ours.terms.items()} == \
+            {m: (c, type(c)) for m, c in theirs.terms.items()}
+    assert (loop.init, loop.guard) == (template.init, template.guard)
+
+
+X1 = VarContext(("x",))
+CYCLE = "1 + x - 3/2*x*(x - 1)"  # 0 -> 1 -> 2 -> 0
+CYCLING_LOOPS = {  # name: (init, update, guard)
+    "fixed point at state 1": (2, "x", "1"),
+    "fixed point at state 2": (-1, "x^2", "1"),
+    "3-cycle": (0, CYCLE, "1"),
+    "guard vanishes in the cycle": (0, CYCLE, "x - 2"),
+    "guard vanishes at the start": (0, CYCLE, "x"),
+}
+
+
+def _outcome(run, budget):
+    try:
+        return run(budget)
+    except BudgetExceeded:
+        return "raised"
+
+
+@pytest.mark.parametrize("name", CYCLING_LOOPS)
+@pytest.mark.parametrize("invariant", ["(x + 1)*x*(x - 1)*(x - 2)", "x*(x + 1)*(x - 2)"])
+def test_simulate_on_a_cycle_matches_the_stepping_loop(name, invariant):
+    init, update, guard = CYCLING_LOOPS[name]
+    loop = ConcreteLoop(X1, (init,), parse_polynomial(guard, X1),
+                        (parse_polynomial(update, X1),))
+    inv = InvariantSpec((parse_polynomial(invariant, X1),))
+    for steps in range(1, 10):  # 1 and 2 are shorter than the 3-cycle
+        ours, theirs = Budget(), Budget()
+        verdict = simulate(loop, inv, steps, ours)
+        assert verdict == _stepping_simulate(loop, inv, steps, theirs)
+        assert ours.steps == theirs.steps
+        assert simulate(loop, inv, steps) == verdict
+        for m in range(steps + 1):  # run out inside the skipped steps too
+            assert _outcome(lambda b: simulate(loop, inv, steps, b), Budget(max_steps=m)) \
+                == _outcome(lambda b: _stepping_simulate(loop, inv, steps, b),
+                            Budget(max_steps=m))
+
+
+def test_simulate_ends_at_a_revisited_state():
+    loop = ConcreteLoop(X1, (0,), parse_polynomial("1", X1),
+                        (parse_polynomial(CYCLE, X1),))
+    inv = InvariantSpec((parse_polynomial("x*(x - 1)*(x - 2)", X1),))
+    evaluated = []
+    evaluate = Polynomial.evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "evaluate", lambda p, s: evaluated.append(p) or evaluate(p, s))
+        budget = Budget()
+        assert simulate(loop, inv, 10**6, budget)
+    assert budget.steps == 10**6
+    assert len(evaluated) < 30  # 0, 1, 2, 0, 1, 2, 0, 1: the walk ends at state 7
