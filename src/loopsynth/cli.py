@@ -184,7 +184,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
                                  f"lines, this file has {lines[fits]} lines (use {fits})")
             if args.command == "synth":
-                try:  # an option solver line replaces LOOPSYNTH_SOLVER
+                # run_pipeline repeats this check for its library callers,
+                # but its ValueError could also come from synthesis, which
+                # is no usage error; an option solver line replaces
+                # LOOPSYNTH_SOLVER, so the check waits for the file
+                try:
                     discover_solver(doc.settings.solver)
                 except ValueError as exc:
                     raise UsageError(str(exc))

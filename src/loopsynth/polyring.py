@@ -22,7 +22,8 @@ format_polynomial is:
 INT is a run of ASCII digits.  Multiplication is always explicit, exponents
 are nonnegative integers, division is only allowed by a nonzero integer
 literal (x/2, 3/4*x), parentheses nest at most MAX_NESTING deep, and a
-product or power that could expand past MAX_TERMS terms is refused.
+product or power that could expand past MAX_TERMS terms, or grow a
+coefficient past MAX_BITS bits, is refused.
 Printing uses the degrevlex order, largest term first.
 """
 
@@ -266,6 +267,22 @@ class Polynomial:
     def variables(context: VarContext) -> list["Polynomial"]:
         return [Polynomial.variable(context, n) for n in context.names]
 
+    @staticmethod
+    def combination(context: VarContext, polys: Sequence["Polynomial"],
+                    coeffs: Sequence) -> "Polynomial":
+        """sum of coeffs[i] * polys[i], all polys over context, summed into
+        one terms dict."""
+        if len(polys) != len(coeffs):
+            raise ValueError(f"{len(polys)} polynomials but {len(coeffs)} coefficients")
+        acc: dict = {}
+        for p, v in zip(polys, map(as_rational, coeffs)):
+            if p.context != context:
+                raise ContextMismatchError(
+                    f"contexts differ: {context.names} vs {p.context.names}")
+            if v:
+                _add_into(acc, ((e, c * v) for e, c in p.terms.items()))
+        return Polynomial._trusted(context, _int_when_integral(acc, acc.values(), ()))
+
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -347,10 +364,6 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is int or type(other) is Fraction:  # a bool goes on to raise
-            return self._wrap(_int_when_integral(
-                {e: c * other for e, c in self.terms.items()} if other else {},
-                self.terms.values(), (other,)))
         other = self._operand(other)
         if other is None:
             return NotImplemented
@@ -520,6 +533,14 @@ def format_polynomial(p: Polynomial) -> str:
 _TOKEN_OPS = set("+-*^()/")
 MAX_NESTING = 100  # parenthesis depth; a level takes 4 frames of the parser
 MAX_TERMS = 1000  # terms of an expanded product or power
+MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
+
+
+def _bits(p: Polynomial) -> int:
+    # floor(log2) of p's largest numerator or denominator (0 for no terms);
+    # the parser takes the sum of the factors' as a product's estimate
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=1) - 1
 
 
 def _tokenize(text: str):
@@ -590,6 +611,13 @@ class _Parser:
         if comb(n + degree, n) > MAX_TERMS:
             raise ParseError(f"expansion could pass {MAX_TERMS} terms", line, col)
 
+    def grow(self, bits: int, operands: Sequence[int], line: int, col: int) -> None:
+        # called before expanding a result whose largest coefficient has
+        # about `bits` bits, from operands of `operands` bits; a result past
+        # MAX_BITS is refused unless it is no larger than an operand
+        if bits > max(MAX_BITS, *operands):
+            raise ParseError(f"expansion could pass {MAX_BITS}-bit coefficients", line, col)
+
     def parse(self) -> Polynomial:
         kind, _, line, col = self.peek()
         if kind == "end":
@@ -623,6 +651,8 @@ class _Parser:
                 q = self.factor()
                 if len(p) * len(q) > MAX_TERMS:
                     self.bound(p.total_degree() + q.total_degree(), line, col)
+                bp, bq = _bits(p), _bits(q)
+                self.grow(bp + bq, (bp, bq), line, col)
                 p = p * q
             elif kind == "op" and val == "/":
                 self.take()
@@ -650,6 +680,8 @@ class _Parser:
             j = min(k, MAX_TERMS + 1)
             if p and comb(len(p) + j - 1, j) > MAX_TERMS:
                 self.bound(j * p.total_degree(), line, col)
+            b = _bits(p)
+            self.grow(k * b, (b,), line, col)
             p = p ** k
         return p
 

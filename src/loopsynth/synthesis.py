@@ -54,8 +54,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import groebner  # buchberger through the module, where a wrapper sees it
 from .budget import Budget, BudgetExceeded
 from .groebner import all_in_radical
-from .polyring import (Coeff, Polynomial, VarContext, _add_into, _int_when_integral,
-                       as_rational)
+from .polyring import Coeff, Polynomial, VarContext, as_rational
 
 DEFAULT_MAX_ROUNDS = 32
 SIMULATION_STEPS = 10
@@ -286,14 +285,11 @@ def instantiate(template: LoopTemplate, coeffs) -> ConcreteLoop:
         if len(vals) != len(names):
             raise ValueError(f"need {len(names)} coefficients, got {len(vals)}")
     updates = []
-    vals = iter(vals)
+    k = 0
     for gens in template.generators:
-        u: dict = {}  # sum_j vals_j * f_j, one terms dict
-        for f, v in zip(gens, vals):
-            if v:
-                _add_into(u, ((e, c * v) for e, c in f.terms.items()))
-        updates.append(Polynomial._trusted(template.context,
-                                           _int_when_integral(u, u.values(), ())))
+        updates.append(Polynomial.combination(template.context, gens,
+                                              vals[k:k + len(gens)]))
+        k += len(gens)
     return ConcreteLoop(template.context, template.init, template.guard,
                         tuple(updates))
 

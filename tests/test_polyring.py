@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from loopsynth import (ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial, parse_problem,
                        DEGREVLEX, LEX)
-from loopsynth.polyring import (MAX_NESTING, MAX_TERMS, _mul_terms, as_rational,
+from loopsynth.polyring import (MAX_BITS, MAX_NESTING, MAX_TERMS, as_rational,
                                 format_polynomial, fresh_name)
 
 CTX = VarContext(("x", "y", "z"))
@@ -403,36 +403,36 @@ class TestRingMapsAgreeWithTheOldLoops:
 
 
 # ---------------------------------------------------------------------------
-# Multiplying by a number scales the coefficients; the reference is the route
-# through a constant polynomial and the product kernel.
+# combination sums the scaled polynomials into one terms dict; the reference
+# is the sum of products through the ring operations.
 
 _NUMBERS = st.one_of(st.integers(-5, 5), _COEFFS, st.builds(Fraction, st.integers(-3, 3)))
 
 
-def _product_kernel_scale(p, v):
-    return Polynomial(p.context, _mul_terms(p.terms, {(0,) * p.context.arity: v} if v else {}))
-
-
-class TestScalingByANumber:
+class TestCombination:
     @settings(max_examples=100, deadline=None)
-    @given(_polys(SRC, 6, 3), _NUMBERS)
-    def test_matches_the_product_kernel(self, p, v):
-        _same_in_one_form(p * v, _product_kernel_scale(p, v))
-        _same_in_one_form(v * p, _product_kernel_scale(p, v))
-        if v:
-            _same_in_one_form(p / v, _product_kernel_scale(p, 1 / Fraction(v)))
+    @given(st.lists(st.tuples(_polys(SRC, 6, 3), _NUMBERS), max_size=4))
+    def test_matches_the_summed_products(self, pairs):
+        polys, coeffs = [p for p, _ in pairs], [v for _, v in pairs]
+        summed = Polynomial.zero(SRC)
+        for p, v in pairs:
+            summed = summed + p * v
+        _same_in_one_form(Polynomial.combination(SRC, polys, coeffs), summed)
 
-    def test_integral_result_is_an_int(self):
-        assert P("x/2") * 2 == P("x")
-        assert type((P("x/2") * 2).terms[(1, 0, 0)]) is int
-        assert (P("x + y") * 0).is_zero
+    def test_integral_sum_is_an_int(self):
+        p = Polynomial.combination(CTX, [P("x/2"), P("x/2 + y")], [1, Fraction(1)])
+        assert p == P("x + y") and type(p.terms[(1, 0, 0)]) is int
+        assert Polynomial.combination(CTX, [P("x"), P("-x")], [2, 2]).is_zero
+        assert Polynomial.combination(CTX, [], []).is_zero
 
-    @pytest.mark.parametrize("v", [True, False, 1.5])
-    def test_a_bool_or_a_float_still_raises(self, v):
-        with pytest.raises(TypeError):
-            P("x + 1") * v
-        with pytest.raises(TypeError):
-            v * P("x + 1")
+    def test_bad_arguments_raise(self):
+        with pytest.raises(ValueError, match="2 polynomials but 1 coefficients"):
+            Polynomial.combination(CTX, [P("x"), P("y")], [1])
+        with pytest.raises(ContextMismatchError):
+            Polynomial.combination(CTX, [P("x", VarContext(("x",)))], [1])
+        for v in (True, 1.5):
+            with pytest.raises(TypeError):
+                Polynomial.combination(CTX, [P("x")], [v])
 
 
 class TestEvaluateAConstant:
@@ -446,8 +446,8 @@ class TestEvaluateAConstant:
 
 
 # ---------------------------------------------------------------------------
-# A product or power that could expand past MAX_TERMS is refused before it
-# is expanded, at its operator.
+# A product or power that could expand past MAX_TERMS, or grow a coefficient
+# past MAX_BITS bits, is refused before it is expanded, at its operator.
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -470,6 +470,23 @@ class TestExpansionBound:
         # x, y, z have far more monomials of degree <= 100 than (x+1)^100 has terms
         assert len(P("(x + 1)^100")) == 101
         assert P("(x+y+z+1)^0 * 0^0") == 1 and P("0^5 * (x+y+z)^9").is_zero
+
+    @pytest.mark.parametrize("text, col", [("3^999999999", 2), ("((3^999)^999)^999", 9),
+                                           ("(1/3)^999999999", 6), ("2^10001", 2),
+                                           ("*".join(["3^5000"] * 300), 7),
+                                           ("2^9999 * 4", 8), ("(x + 3^999)^11", 12)])
+    def test_a_large_coefficient_is_refused_at_once(self, text, col):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=f"{MAX_BITS}-bit coefficients") as exc:
+            P(text)
+        assert time.perf_counter() - t0 < 1
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    def test_a_coefficient_that_does_not_grow_is_admitted(self):
+        assert P("1^999999999") == 1 and P("(-1)^999999999 * x^999999999") == -P("x^999999999")
+        assert P("2^10000") == 2 ** 10000 and P("2^9999 * 2") == 2 ** 10000
+        big = 3 ** 8000  # a literal past MAX_BITS bits, times a unit
+        assert P(f"x * {big} * y") == P("x*y") * big
 
     def test_every_benchmark_file_parses(self):
         files = sorted(BENCHMARKS.glob("*.loop"))
