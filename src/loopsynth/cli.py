@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
 from .polyring import ParseError
 from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
                        run_benchmarks, run_check, run_pipeline)
-from .problemfile import (_OPTIONS, Settings, _integer, _resolve, _seconds,
-                          parse_problem)
+from .problemfile import _OPTIONS, Settings, _integer, _resolve, _seconds, read_problem
 from .solve import discover_solver
 
 EXIT_OK = 0
@@ -104,17 +102,13 @@ def _overrides(args) -> dict:
 def _load(path: str, overrides: dict):
     """The problem in path under the flag overrides, or a usage error."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        return _resolve(read_problem(path), **overrides)
     except OSError as exc:
         raise UsageError(str(exc))
-    name = os.path.splitext(os.path.basename(path))[0]
-    try:
-        return _resolve(parse_problem(text, name=name), **overrides)
     except ParseError as exc:
         raise UsageError(f"{path}:{exc}")
-    except ValueError as exc:  # e.g. a nonzero flag that the template lacks
-        raise UsageError(str(exc))
+    except ValueError as exc:  # not UTF-8, or a nonzero flag that the template lacks
+        raise UsageError(f"{path}: {exc}")
 
 
 def _print_synth(report: RunReport) -> None:

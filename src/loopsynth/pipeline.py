@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
-from .polyring import ParseError, Polynomial
-from .problemfile import ProblemDoc, _resolve, parse_problem
+from .polyring import Polynomial
+# parse_problem is not called here; it stays importable from this module
+from .problemfile import ProblemDoc, _resolve, parse_problem, read_problem  # noqa: F401
 from .solve import (SolveRequest, discover_solver, emit_smtlib,
                     classify_finiteness, solve)
 from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
@@ -208,9 +209,9 @@ def collect_problem_files(target: str) -> list[str]:
 def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | None = None,
                    **overrides) -> list[RunReport]:
     """One report per problem file (times the grid cells, when given).
-    A file that does not open or parse, a grid cell that does not fit the
-    template and an override the problem rejects become invalid rows;
-    budget exhaustion and crashes become TL and error rows.  A bad
+    A file that does not open, decode or parse, a grid cell that does not
+    fit the template and an override the problem rejects become invalid
+    rows; budget exhaustion and crashes become TL and error rows.  A bad
     LOOPSYNTH_SOLVER, unless a solver override replaces it, raises
     ValueError before any file is read."""
     if overrides.get("solver") is None:
@@ -222,9 +223,8 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
         try:
-            with open(path) as fh:
-                doc = parse_problem(fh.read(), name=name)
-        except (OSError, ParseError) as exc:
+            doc = read_problem(path)
+        except (OSError, ValueError) as exc:
             reports.append(RunReport(name, status="invalid", error=str(exc)))
             continue
         mode = "check" if doc.is_concrete else "synth"

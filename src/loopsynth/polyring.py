@@ -19,20 +19,22 @@ format_polynomial is:
     factor   := atom ['^' INT]
     atom     := INT | NAME | '(' expr ')'
 
-INT is a run of ASCII digits.  Multiplication is always explicit, exponents
-are nonnegative integers, division is only allowed by a nonzero integer
-literal (x/2, 3/4*x), parentheses nest at most MAX_NESTING deep, and a
-product or power that could expand past MAX_TERMS terms, or grow a
-coefficient past MAX_BITS bits, is refused.
+INT is a run of at most MAX_DIGITS (4,300) ASCII digits.  Multiplication
+is always explicit, exponents are nonnegative integers, division is only
+allowed by a nonzero integer literal (x/2, 3/4*x), parentheses nest at most
+MAX_NESTING deep, and a product or power that could expand past MAX_TERMS
+terms, or grow a coefficient past MAX_BITS bits, is refused, as is one
+that takes a text's expansions past MAX_WORK term products.
 Printing uses the degrevlex order, largest term first.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -530,10 +532,11 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(out)
 
 
-_TOKEN_OPS = set("+-*^()/")
 MAX_NESTING = 100  # parenthesis depth; a level takes 4 frames of the parser
 MAX_TERMS = 1000  # terms of an expanded product or power
 MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
+MAX_WORK = MAX_TERMS ** 2  # term products one text may spend on expansions
+MAX_DIGITS = 4300  # digits of an INT, Python's default int() string limit
 
 
 def _bits(p: Polynomial) -> int:
@@ -543,51 +546,36 @@ def _bits(p: Polynomial) -> int:
                 for c in p.terms.values()), default=1) - 1
 
 
-def _tokenize(text: str):
-    """Yield (kind, value, line, col) with 1-based positions."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _TOKEN_OPS:
-            yield ("op", ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":  # not isdigit(), which takes ² that int() rejects
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            yield ("int", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("name", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    yield ("end", "", line, col)
+# One group per token kind; finditer skips the spaces that no group takes.
+# [0-9], not \d, which takes ² that int() rejects.  \w is str.isalnum() or
+# '_', but a name starts with a letter (str.isalpha()) or '_', checked below.
+_TOKEN = re.compile(r"(?P<op>[-+*^()/])|(?P<int>[0-9]+)|(?P<name>\w+)|(?P<nl>\n)|(?P<bad>\S)")
+
+
+def _tokenize(text: str) -> list:
+    """(kind, value, line, col) tuples with 1-based positions, ending in an
+    ("end", "", line, col) token."""
+    tokens, line, start = [], 1, 0  # start: the offset of the line's column 1
+    for m in _TOKEN.finditer(text):
+        kind, val, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "nl":
+            line, start = line + 1, m.end()
+        elif kind == "bad" or kind == "name" and not (val[0].isalpha() or val[0] == "_"):
+            raise ParseError(f"unexpected character {val[0]!r}", line, col)
+        elif kind == "int" and len(val) > MAX_DIGITS:
+            raise ParseError(f"integer literal past {MAX_DIGITS} digits", line, col)
+        else:
+            tokens.append((kind, val, line, col))
+    tokens.append(("end", "", line, len(text) - start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, context: VarContext):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.work = MAX_WORK
         self.context = context
 
     def peek(self):
@@ -603,20 +591,31 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", line, col)
 
-    def bound(self, degree: int, line: int, col: int) -> None:
-        # called before expanding a result whose operands' term counts allow
-        # more than MAX_TERMS terms; it has at most one per monomial of
-        # degree up to `degree`, so it is refused if those pass MAX_TERMS too
-        n = self.context.arity
-        if comb(n + degree, n) > MAX_TERMS:
-            raise ParseError(f"expansion could pass {MAX_TERMS} terms", line, col)
-
-    def grow(self, bits: int, operands: Sequence[int], line: int, col: int) -> None:
-        # called before expanding a result whose largest coefficient has
-        # about `bits` bits, from operands of `operands` bits; a result past
-        # MAX_BITS is refused unless it is no larger than an operand
-        if bits > max(MAX_BITS, *operands):
+    def admit(self, factors: Sequence[Polynomial], k: int, line: int, col: int) -> None:
+        # called once before the product of two factors (k = 1), or the k-th
+        # power of one, is expanded.  f^k has at most one term per way to
+        # choose k of f's terms with repetition (0^k has none, 0^0 one), and
+        # the result at most one per monomial of its degree or less; it is
+        # refused if both pass MAX_TERMS.  Both grow with k, and for f of 2
+        # or more terms both pass MAX_TERMS at k = MAX_TERMS + 1, so j
+        # decides as k would, without a huge binomial.  A coefficient that
+        # could pass MAX_BITS bits is refused unless it is no larger than a
+        # factor's.  A product costs its term products, a power by repeated
+        # squaring about the square of its term bound; a text's expansions
+        # may cost MAX_WORK.
+        j = min(k, MAX_TERMS + 1)
+        terms = work = prod(comb(len(f) + j - 1, j) if f else 0 ** j for f in factors)
+        if terms > MAX_TERMS:
+            n = self.context.arity
+            degree = j * sum(f.total_degree() for f in factors)
+            if (terms := comb(n + degree, n)) > MAX_TERMS:
+                raise ParseError(f"expansion could pass {MAX_TERMS} terms", line, col)
+        bits = [_bits(f) for f in factors]
+        if k * sum(bits) > max(MAX_BITS, *bits):
             raise ParseError(f"expansion could pass {MAX_BITS}-bit coefficients", line, col)
+        self.work -= terms * terms if k > 1 else work
+        if self.work < 0:
+            raise ParseError(f"expansions could pass {MAX_WORK} term products", line, col)
 
     def parse(self) -> Polynomial:
         kind, _, line, col = self.peek()
@@ -649,18 +648,15 @@ class _Parser:
             if kind == "op" and val == "*":
                 self.take()
                 q = self.factor()
-                if len(p) * len(q) > MAX_TERMS:
-                    self.bound(p.total_degree() + q.total_degree(), line, col)
-                bp, bq = _bits(p), _bits(q)
-                self.grow(bp + bq, (bp, bq), line, col)
+                self.admit((p, q), 1, line, col)
                 p = p * q
             elif kind == "op" and val == "/":
                 self.take()
                 kind, val, line, col = self.take()
-                if kind != "int" or int(val) == 0:
+                if kind != "int" or (d := int(val)) == 0:
                     raise ParseError("divisor must be a nonzero integer",
                                      line, col)
-                p = p / int(val)
+                p = p / d
             else:
                 return p
 
@@ -673,15 +669,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", eline, ecol)
             k = int(val)
-            # p^k has at most one term per way to choose k of p's terms with
-            # repetition.  Both bounds grow with k, and for p of 2 or more
-            # terms both pass MAX_TERMS at k = MAX_TERMS + 1, so j decides as
-            # k would, without a huge binomial.
-            j = min(k, MAX_TERMS + 1)
-            if p and comb(len(p) + j - 1, j) > MAX_TERMS:
-                self.bound(j * p.total_degree(), line, col)
-            b = _bits(p)
-            self.grow(k * b, (b,), line, col)
+            self.admit((p,), k, line, col)
             p = p ** k
         return p
 

@@ -19,21 +19,25 @@ update lines (exactly one per variable), never both.  Repeated gen lines
 for one variable accumulate; vars and init accept commas as separators;
 init values are exact rationals (1, -1, 1/2, 0.25).  Every numeral is
 ASCII with no '_'.  Polynomials follow the grammar documented in the
-polynomial module; errors carry line:col.  _OPTIONS declares the options
-once: cli builds a flag from each and reads its text as the line's.
+polynomial module; errors carry line:col.  read_problem reads a file,
+which must be UTF-8 text.  _OPTIONS declares the options once: cli builds
+a flag from each and reads its text as the line's.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass, field, replace
 
-from .polyring import (ParseError, Polynomial, VarContext, as_rational,
+from .polyring import (MAX_DIGITS, ParseError, Polynomial, VarContext, as_rational,
                        parse_polynomial)
 from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR,
                     check_domain, check_nonzero, check_seconds, solver_argv)
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SYNTH_BUDGET = 300.0
+_DIRECTIVE = re.compile(r"\s*(\S*)\s*")  # a line's directive word, up to the rest
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,10 @@ class Settings:
 
 
 def _integer(text: str):
-    # ASCII digits, else the text, for Settings to reject (int() takes '١_0')
-    return int(text) if text.isascii() and text.isdigit() else text
+    # an INT of the polynomial grammar, else the text, for Settings to
+    # reject (int() takes '١_0', and past MAX_DIGITS digits it raises)
+    ok = text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+    return int(text) if ok else text
 
 
 def _seconds(text: str):
@@ -103,10 +109,6 @@ class ProblemDoc:
         return self.loop is not None
 
 
-def _fail(msg: str, line: int, col: int = 1):
-    raise ParseError(msg, line, col)
-
-
 def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     """doc with the overrides that are not None applied to its settings.
     Settings checks every value and a template the nonzero policy, so a
@@ -125,6 +127,15 @@ def _reparse(text: str, ctx: VarContext, line: int, col: int) -> Polynomial:
         raise ParseError(exc.message, line, col + exc.col - 1) from None
 
 
+def read_problem(path: str) -> ProblemDoc:
+    """The problem in the file at path, named by the file's stem.  Raises
+    OSError if the file cannot be read, else ValueError: a ParseError with
+    line:col, or a UnicodeDecodeError for a file that is not UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_problem(text, name=os.path.splitext(os.path.basename(path))[0])
+
+
 def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     ctx: VarContext | None = None
     init: tuple | None = None
@@ -137,50 +148,48 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        m = _DIRECTIVE.match(line)
+        word, rest = m[1], line[m.end():]
+        if not word:
             continue
-        word = line.split(None, 1)[0]
-        word_col = line.index(word) + 1
-        rest = line[word_col - 1 + len(word):]
-        rest_col = word_col + len(word) + (len(rest) - len(rest.lstrip()))
-        rest = rest.strip()
+        word_col, rest_col = m.start(1) + 1, m.end() + 1
 
         if word == "vars":
             if ctx is not None:
-                _fail("duplicate vars line", lineno, word_col)
+                raise ParseError("duplicate vars line", lineno, word_col)
             names = rest.replace(",", " ").split()
             if not names:
-                _fail("vars needs at least one name", lineno, rest_col)
+                raise ParseError("vars needs at least one name", lineno, rest_col)
             try:
                 ctx = VarContext(tuple(names))
             except ValueError as exc:
-                _fail(str(exc), lineno, rest_col)
+                raise ParseError(str(exc), lineno, rest_col)
             continue
         if ctx is None:
-            _fail("the first directive must be vars", lineno, word_col)
+            raise ParseError("the first directive must be vars", lineno, word_col)
 
         if word == "init":
             if init is not None:
-                _fail("duplicate init line", lineno, word_col)
+                raise ParseError("duplicate init line", lineno, word_col)
             vals = rest.replace(",", " ").split()
             if len(vals) != ctx.arity:
-                _fail(f"init needs {ctx.arity} values, got {len(vals)}",
-                      lineno, rest_col)
+                raise ParseError(f"init needs {ctx.arity} values, got {len(vals)}",
+                                 lineno, rest_col)
             try:
                 init = tuple(as_rational(v) for v in vals)
             except (ValueError, TypeError) as exc:
-                _fail(str(exc), lineno, rest_col)
+                raise ParseError(str(exc), lineno, rest_col)
         elif word == "guard":
             guards.append(_reparse(rest, ctx, lineno, rest_col))
         elif word == "invariant":
             invariants.append(_reparse(rest, ctx, lineno, rest_col))
         elif word in ("gen", "update"):
             if ":" not in rest:
-                _fail(f"{word} syntax: {word} <var>: <polynomial>", lineno, rest_col)
+                raise ParseError(f"{word} syntax: {word} <var>: <polynomial>", lineno, rest_col)
             head, _, body = rest.partition(":")
             var = head.strip()
             if var not in ctx:
-                _fail(f"unknown variable {var!r}", lineno, rest_col)
+                raise ParseError(f"unknown variable {var!r}", lineno, rest_col)
             body_col = rest_col + rest.index(":") + 1
             if word == "gen":
                 bucket = gens.setdefault(var, [])
@@ -188,44 +197,44 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                 for piece in body.split(","):
                     pad = len(piece) - len(piece.lstrip())
                     if not piece.strip():
-                        _fail("empty generator", lineno, offset + pad)
+                        raise ParseError("empty generator", lineno, offset + pad)
                     bucket.append(_reparse(piece.strip(), ctx, lineno, offset + pad))
                     offset += len(piece) + 1
             else:
                 if var in updates:
-                    _fail(f"duplicate update for {var!r}", lineno, word_col)
+                    raise ParseError(f"duplicate update for {var!r}", lineno, word_col)
                 pad = len(body) - len(body.lstrip())
                 if not body.strip():
-                    _fail("empty update", lineno, body_col)
+                    raise ParseError("empty update", lineno, body_col)
                 updates[var] = _reparse(body.strip(), ctx, lineno, body_col + pad)
         elif word == "option":
             if not rest:
-                _fail("option needs a key", lineno, rest_col)
+                raise ParseError("option needs a key", lineno, rest_col)
             key, *val = rest.split(None, 1)  # rest is stripped
             if not val:
-                _fail(f"option {key} needs a value", lineno, rest_col)
+                raise ParseError(f"option {key} needs a value", lineno, rest_col)
             if key not in _OPTIONS:
-                _fail(f"unknown option {key!r}", lineno, rest_col)
+                raise ParseError(f"unknown option {key!r}", lineno, rest_col)
             attr, read, _, _ = _OPTIONS[key]
             try:
                 settings = replace(settings, **{attr: read(val[0])})
             except ValueError as exc:
-                _fail(str(exc), lineno, rest_col)
+                raise ParseError(str(exc), lineno, rest_col)
             if key == "nonzero":
                 nonzero_pos = (lineno, rest_col)
         else:
-            _fail(f"unknown directive {word!r}", lineno, word_col)
+            raise ParseError(f"unknown directive {word!r}", lineno, word_col)
 
     if ctx is None:
-        _fail("missing vars line", 1)
+        raise ParseError("missing vars line", 1)
     if init is None:
-        _fail("missing init line", 1)
+        raise ParseError("missing init line", 1)
     if not invariants:
-        _fail("need at least one invariant", 1)
+        raise ParseError("need at least one invariant", 1)
     if gens and updates:
-        _fail("gen and update lines cannot be mixed", 1)
+        raise ParseError("gen and update lines cannot be mixed", 1)
     if not gens and not updates:
-        _fail("need gen lines (synthesis) or update lines (check)", 1)
+        raise ParseError("need gen lines (synthesis) or update lines (check)", 1)
 
     guard = Polynomial.one(ctx)
     for g in guards:
@@ -234,7 +243,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
 
     missing = [n for n in ctx.names if n not in (gens or updates)]
     if missing:
-        _fail(f"no {'generators' if gens else 'update'} for {', '.join(missing)}", 1)
+        raise ParseError(f"no {'generators' if gens else 'update'} for {', '.join(missing)}", 1)
     template = loop = None
     if gens:
         template = LoopTemplate(ctx, init, guard,
@@ -244,5 +253,5 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     try:
         check_nonzero(settings.nonzero, template.coefficient_names if template else ())
     except ValueError as exc:
-        _fail(str(exc), *nonzero_pos)
+        raise ParseError(str(exc), *nonzero_pos)
     return ProblemDoc(name, spec, template=template, loop=loop, settings=settings)

@@ -16,6 +16,7 @@ rather than being passed along.
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -155,41 +156,23 @@ def emit_smtlib(request: SolveRequest) -> str:
 # S-expression reading (solver output, and script round-trip in tests).
 
 
+# A comment is matched by no group, and finditer skips the spaces that no
+# alternative takes; an unterminated |symbol| or string leaves its opening
+# character to `bad`.
+_SEXPR_TOKEN = re.compile(r';[^\n]*|(?P<tok>\|[^|]*\||"[^"]*"|[()]|[^\s();|"][^\s();|]*)'
+                          r'|(?P<bad>[|"])')
+
+
 def parse_sexprs(text: str) -> list:
     """All toplevel s-expressions: atoms as strings, lists as Python lists.
     Comments (; to end of line) and |quoted| symbols are handled."""
     tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SolverOutputError("unterminated |symbol|")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SolverOutputError("unterminated string literal")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();|":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    for m in _SEXPR_TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise SolverOutputError("unterminated |symbol|" if m.group() == "|"
+                                    else "unterminated string literal")
+        if m.lastgroup:
+            tokens.append(m.group())
     out: list = []
     stack: list[list] = []
     for tok in tokens:
