@@ -16,9 +16,9 @@ import sys
 from typing import Sequence
 
 from .polyring import ParseError
-from .pipeline import (SIMULATION_STEPS, RunReport, render_csv, render_table,
-                       run_benchmarks, run_check, run_pipeline)
-from .problemfile import _OPTIONS, Settings, _integer, _resolve, _seconds, read_problem
+from .pipeline import (SIMULATION_STEPS, RunReport, read_problem, render_csv,
+                       render_table, run_benchmarks, run_check, run_pipeline)
+from .problemfile import _OPTIONS, Settings, _integer, _resolve, _seconds
 from .solve import discover_solver
 
 EXIT_OK = 0

@@ -24,8 +24,7 @@ from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
 from .polyring import Polynomial
-# parse_problem is not called here; it stays importable from this module
-from .problemfile import ProblemDoc, _resolve, parse_problem, read_problem  # noqa: F401
+from .problemfile import ProblemDoc, _resolve, parse_problem
 from .solve import (SolveRequest, discover_solver, emit_smtlib,
                     classify_finiteness, solve)
 from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
@@ -200,6 +199,20 @@ def grid_template(doc: ProblemDoc, D: int, l: int) -> LoopTemplate:
     return LoopTemplate(ctx, tpl.init, tpl.guard, tuple(gens))
 
 
+def _stem(path: str) -> str:
+    # a problem file names its problem
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def read_problem(path: str) -> ProblemDoc:
+    """The problem in the file at path, named by the file's stem.  Raises
+    OSError if the file cannot be read, else ValueError: a ParseError with
+    line:col, or a UnicodeDecodeError for a file that is not UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_problem(text, name=_stem(path))
+
+
 def collect_problem_files(target: str) -> list[str]:
     if os.path.isdir(target):
         return sorted(glob.glob(os.path.join(target, "*.loop")))
@@ -221,7 +234,7 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
         paths.extend(collect_problem_files(target))
     reports: list[RunReport] = []
     for path in paths:
-        name = os.path.splitext(os.path.basename(path))[0]
+        name = _stem(path)
         try:
             doc = read_problem(path)
         except (OSError, ValueError) as exc:

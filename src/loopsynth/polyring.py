@@ -24,7 +24,8 @@ is always explicit, exponents are nonnegative integers, division is only
 allowed by a nonzero integer literal (x/2, 3/4*x), parentheses nest at most
 MAX_NESTING deep, and a product or power that could expand past MAX_TERMS
 terms, or grow a coefficient past MAX_BITS bits, is refused, as is one
-that takes a text's expansions past MAX_WORK term products.
+that takes a text's expansions past MAX_WORK term products (the texts
+of one problem file share one allowance).
 Printing uses the degrevlex order, largest term first.
 """
 
@@ -535,7 +536,7 @@ def format_polynomial(p: Polynomial) -> str:
 MAX_NESTING = 100  # parenthesis depth; a level takes 4 frames of the parser
 MAX_TERMS = 1000  # terms of an expanded product or power
 MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
-MAX_WORK = MAX_TERMS ** 2  # term products one text may spend on expansions
+MAX_WORK = MAX_TERMS ** 2  # term products one parser's texts may spend on expansions
 MAX_DIGITS = 4300  # digits of an INT, Python's default int() string limit
 
 
@@ -571,10 +572,8 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, context: VarContext):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+    # reads texts over one context; the texts share one work allowance
+    def __init__(self, context: VarContext):
         self.work = MAX_WORK
         self.context = context
 
@@ -601,8 +600,8 @@ class _Parser:
         # decides as k would, without a huge binomial.  A coefficient that
         # could pass MAX_BITS bits is refused unless it is no larger than a
         # factor's.  A product costs its term products, a power by repeated
-        # squaring about the square of its term bound; a text's expansions
-        # may cost MAX_WORK.
+        # squaring about the square of its term bound; the expansions of
+        # all the texts this parser reads may cost MAX_WORK.
         j = min(k, MAX_TERMS + 1)
         terms = work = prod(comb(len(f) + j - 1, j) if f else 0 ** j for f in factors)
         if terms > MAX_TERMS:
@@ -617,7 +616,8 @@ class _Parser:
         if self.work < 0:
             raise ParseError(f"expansions could pass {MAX_WORK} term products", line, col)
 
-    def parse(self) -> Polynomial:
+    def parse(self, text: str) -> Polynomial:
+        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
         kind, _, line, col = self.peek()
         if kind == "end":
             raise ParseError("empty polynomial", line, col)
@@ -695,4 +695,4 @@ class _Parser:
 
 def parse_polynomial(text: str, context: VarContext) -> Polynomial:
     """Parse the documented grammar; raises ParseError with line:col."""
-    return _Parser(text, context).parse()
+    return _Parser(context).parse(text)

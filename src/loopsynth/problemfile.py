@@ -19,19 +19,17 @@ update lines (exactly one per variable), never both.  Repeated gen lines
 for one variable accumulate; vars and init accept commas as separators;
 init values are exact rationals (1, -1, 1/2, 0.25).  Every numeral is
 ASCII with no '_'.  Polynomials follow the grammar documented in the
-polynomial module; errors carry line:col.  read_problem reads a file,
-which must be UTF-8 text.  _OPTIONS declares the options once: cli builds
-a flag from each and reads its text as the line's.
+polynomial module, and all of a file's polynomials share one expansion
+allowance; errors carry line:col.  _OPTIONS declares the options once:
+cli builds a flag from each and reads its text as the line's.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field, replace
 
-from .polyring import (MAX_DIGITS, ParseError, Polynomial, VarContext, as_rational,
-                       parse_polynomial)
+from .polyring import MAX_DIGITS, ParseError, Polynomial, VarContext, _Parser, as_rational
 from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR,
                     check_domain, check_nonzero, check_seconds, solver_argv)
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
@@ -120,20 +118,11 @@ def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     return replace(doc, settings=settings)
 
 
-def _reparse(text: str, ctx: VarContext, line: int, col: int) -> Polynomial:
+def _reparse(parser: _Parser, text: str, line: int, col: int) -> Polynomial:
     try:
-        return parse_polynomial(text, ctx)
+        return parser.parse(text)
     except ParseError as exc:
         raise ParseError(exc.message, line, col + exc.col - 1) from None
-
-
-def read_problem(path: str) -> ProblemDoc:
-    """The problem in the file at path, named by the file's stem.  Raises
-    OSError if the file cannot be read, else ValueError: a ParseError with
-    line:col, or a UnicodeDecodeError for a file that is not UTF-8 text."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_problem(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
 def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
@@ -164,6 +153,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                 ctx = VarContext(tuple(names))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, rest_col)
+            parser = _Parser(ctx)
             continue
         if ctx is None:
             raise ParseError("the first directive must be vars", lineno, word_col)
@@ -180,9 +170,9 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             except (ValueError, TypeError) as exc:
                 raise ParseError(str(exc), lineno, rest_col)
         elif word == "guard":
-            guards.append(_reparse(rest, ctx, lineno, rest_col))
+            guards.append(_reparse(parser, rest, lineno, rest_col))
         elif word == "invariant":
-            invariants.append(_reparse(rest, ctx, lineno, rest_col))
+            invariants.append(_reparse(parser, rest, lineno, rest_col))
         elif word in ("gen", "update"):
             if ":" not in rest:
                 raise ParseError(f"{word} syntax: {word} <var>: <polynomial>", lineno, rest_col)
@@ -198,7 +188,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                     pad = len(piece) - len(piece.lstrip())
                     if not piece.strip():
                         raise ParseError("empty generator", lineno, offset + pad)
-                    bucket.append(_reparse(piece.strip(), ctx, lineno, offset + pad))
+                    bucket.append(_reparse(parser, piece.strip(), lineno, offset + pad))
                     offset += len(piece) + 1
             else:
                 if var in updates:
@@ -206,7 +196,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                 pad = len(body) - len(body.lstrip())
                 if not body.strip():
                     raise ParseError("empty update", lineno, body_col)
-                updates[var] = _reparse(body.strip(), ctx, lineno, body_col + pad)
+                updates[var] = _reparse(parser, body.strip(), lineno, body_col + pad)
         elif word == "option":
             if not rest:
                 raise ParseError("option needs a key", lineno, rest_col)

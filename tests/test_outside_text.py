@@ -1,7 +1,7 @@
 """Outside text has one reader per kind: polynomial text and solver output
 are read by `re` scanners that behave exactly as the character loops they
 replaced, an integer literal is at most MAX_DIGITS ASCII digits wherever
-it is read, and a problem file is read by problemfile.read_problem for
+it is read, and a problem file is read by pipeline.read_problem for
 every verb, so bad input is exit 1 or an invalid row, never exit 3."""
 
 import pathlib
@@ -243,15 +243,6 @@ def test_bench_reports_a_long_literal_as_an_invalid_row(tmp_path, capsys):
     assert f"long: 3:13: integer literal past {MAX_DIGITS} digits" in out
 
 
-def test_bench_checks_flags_before_reading_a_file(capsys, monkeypatch):
-    def never_read(path):
-        raise AssertionError(f"{path} was read")
-
-    monkeypatch.setattr("loopsynth.pipeline.read_problem", never_read)
-    assert main(["bench", RUNNING_SUM, "--rounds", "0"]) == 1
-    assert "rounds must be an integer >= 1" in capsys.readouterr().err
-
-
 def test_a_missing_file_is_a_usage_error_and_an_invalid_row(tmp_path, capsys):
     missing = str(tmp_path / "gone.loop")
     assert main(["check", missing]) == 1
@@ -259,17 +250,39 @@ def test_a_missing_file_is_a_usage_error_and_an_invalid_row(tmp_path, capsys):
     assert [(r.name, r.status) for r in run_benchmarks([missing])] == [("gone", "invalid")]
 
 
-# -- the work of one text ------------------------------------------------
+# -- the work of one problem file ----------------------------------------
+
+
+HEAVY = "(1+x1)^999"  # 1,000 terms in one or two variables: it spends MAX_WORK
 
 
 def test_a_line_of_many_large_powers_is_refused_at_once(tmp_path, capsys):
-    body = " + ".join(["(1+x1)^999 - (1+x1)^999"] * 10)
+    body = " + ".join([f"{HEAVY} - {HEAVY}"] * 10)
     path = tmp_path / "heavy.loop"
     path.write_text(pathlib.Path(RUNNING_SUM).read_text() + f"invariant {body}\n")
     t0 = time.perf_counter()
     assert main(["check", str(path)]) == 1
     assert time.perf_counter() - t0 < 1
-    # one power of 1,000 terms spends MAX_WORK; the second is refused at its ^
-    col = len("invariant (1+x1)^999 - (1+x1)")
+    # the file's other polynomials spent a little of MAX_WORK (x2^2 is a
+    # power), so even the first power of 1,000 terms is refused at its ^
+    col = len("invariant (1+x1)")
     assert f"heavy.loop:7:{col + 1}: expansions could pass {MAX_WORK} term products" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, before", [
+    # one line per power
+    ("vars x1 x2\ninit 0 0\n" + f"invariant {HEAVY} + x1\n" * 10
+     + "update x1: x1\nupdate x2: x2\n", 4, "invariant (1+x1)"),
+    # one gen line of many pieces, each parsed on its own
+    ("vars x1 x2\ninit 1 1\ninvariant x1\ngen x2: x2\n"
+     + "gen x1: " + ", ".join([HEAVY] * 10) + "\n", 5, f"gen x1: {HEAVY}, (1+x1)"),
+])
+def test_the_polynomials_of_one_file_share_one_allowance(text, line, before):
+    # the first power of 1,000 terms is admitted and spends all of MAX_WORK
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - t0 < 1
+    assert (err.value.line, err.value.col) == (line, len(before) + 1)
+    assert err.value.message == f"expansions could pass {MAX_WORK} term products"
