@@ -107,7 +107,7 @@ def _load(path: str, overrides: dict):
         raise UsageError(str(exc))
     except ParseError as exc:
         raise UsageError(f"{path}:{exc}")
-    except ValueError as exc:  # not UTF-8, or a nonzero flag that the template lacks
+    except ValueError as exc:  # a nonzero flag that the template lacks
         raise UsageError(f"{path}: {exc}")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 from .budget import Budget, BudgetExceeded
-from .polyring import Polynomial
+from .polyring import ParseError, Polynomial
 from .problemfile import ProblemDoc, _resolve, parse_problem
 from .solve import (SolveRequest, discover_solver, emit_smtlib,
                     classify_finiteness, solve)
@@ -206,10 +206,17 @@ def _stem(path: str) -> str:
 
 def read_problem(path: str) -> ProblemDoc:
     """The problem in the file at path, named by the file's stem.  Raises
-    OSError if the file cannot be read, else ValueError: a ParseError with
-    line:col, or a UnicodeDecodeError for a file that is not UTF-8 text."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    OSError if the file cannot be read, else a ParseError with line:col,
+    which for a file that is not UTF-8 text points at the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as parse_problem counts them; "?" stands in for the bad byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not {exc.encoding}: {exc.reason}",
+                         len(lines), len(lines[-1])) from None
     return parse_problem(text, name=_stem(path))
 
 

@@ -39,6 +39,8 @@ from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
+from .budget import BudgetExceeded
+
 Coeff = Union[int, Fraction]  # the one rational form, as_rational's
 
 
@@ -410,7 +412,9 @@ class Polynomial:
     # -- evaluation and composition -----------------------------------------
 
     def evaluate(self, point: Mapping[str, object]) -> Coeff:
-        """Exact value at a fully specified rational point."""
+        """Exact value at a fully specified rational point.  Raises
+        BudgetExceeded rather than raise a value to a power past 64 whose
+        result could pass MAX_POWER_BITS bits (0, 1 and -1 take any power)."""
         vals = []
         for n in self.context.names:
             if n not in point:
@@ -424,6 +428,10 @@ class Polynomial:
             term = c
             for v, e in zip(vals, expo):
                 if e:
+                    # most e are small; v^e's parts have at most e*(b+1) bits
+                    if e > 64 and (b := _log2(v)) and e * (b + 1) > MAX_POWER_BITS:
+                        raise BudgetExceeded(
+                            f"evaluate: a power could pass {MAX_POWER_BITS}-bit values")
                     term *= v ** e
             total += term
         return total if type(total) is int else as_rational(total)
@@ -538,13 +546,19 @@ MAX_TERMS = 1000  # terms of an expanded product or power
 MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
 MAX_WORK = MAX_TERMS ** 2  # term products one parser's texts may spend on expansions
 MAX_DIGITS = 4300  # digits of an INT, Python's default int() string limit
+MAX_POWER_BITS = 1_000_000  # bits of a power past the 64th that evaluate computes
+
+
+def _log2(c: Coeff) -> int:
+    # floor(log2) of c's numerator or denominator, whichever is larger
+    # (0 for 0, 1 and -1)
+    return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
 
 
 def _bits(p: Polynomial) -> int:
-    # floor(log2) of p's largest numerator or denominator (0 for no terms);
-    # the parser takes the sum of the factors' as a product's estimate
-    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                for c in p.terms.values()), default=1) - 1
+    # the largest _log2 of p's coefficients (0 for no terms); the parser
+    # takes the sum of the factors' as a product's estimate
+    return max(map(_log2, p.terms.values()), default=0)
 
 
 # One group per token kind; finditer skips the spaces that no group takes.
@@ -553,10 +567,10 @@ def _bits(p: Polynomial) -> int:
 _TOKEN = re.compile(r"(?P<op>[-+*^()/])|(?P<int>[0-9]+)|(?P<name>\w+)|(?P<nl>\n)|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list:
-    """(kind, value, line, col) tuples with 1-based positions, ending in an
-    ("end", "", line, col) token."""
-    tokens, line, start = [], 1, 0  # start: the offset of the line's column 1
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list:
+    """(kind, value, line, col) tuples with 1-based positions, text starting
+    at line:col, ending in an ("end", "", line, col) token."""
+    tokens, start = [], 1 - col  # start: the offset of the line's column 1
     for m in _TOKEN.finditer(text):
         kind, val, col = m.lastgroup, m.group(), m.start() - start + 1
         if kind == "nl":
@@ -616,8 +630,8 @@ class _Parser:
         if self.work < 0:
             raise ParseError(f"expansions could pass {MAX_WORK} term products", line, col)
 
-    def parse(self, text: str) -> Polynomial:
-        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
+    def parse(self, text: str, line: int = 1, col: int = 1) -> Polynomial:
+        self.tokens, self.pos, self.depth = _tokenize(text, line, col), 0, 0
         kind, _, line, col = self.peek()
         if kind == "end":
             raise ParseError("empty polynomial", line, col)

@@ -118,13 +118,6 @@ def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     return replace(doc, settings=settings)
 
 
-def _reparse(parser: _Parser, text: str, line: int, col: int) -> Polynomial:
-    try:
-        return parser.parse(text)
-    except ParseError as exc:
-        raise ParseError(exc.message, line, col + exc.col - 1) from None
-
-
 def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
     ctx: VarContext | None = None
     init: tuple | None = None
@@ -170,9 +163,9 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             except (ValueError, TypeError) as exc:
                 raise ParseError(str(exc), lineno, rest_col)
         elif word == "guard":
-            guards.append(_reparse(parser, rest, lineno, rest_col))
+            guards.append(parser.parse(rest, lineno, rest_col))
         elif word == "invariant":
-            invariants.append(_reparse(parser, rest, lineno, rest_col))
+            invariants.append(parser.parse(rest, lineno, rest_col))
         elif word in ("gen", "update"):
             if ":" not in rest:
                 raise ParseError(f"{word} syntax: {word} <var>: <polynomial>", lineno, rest_col)
@@ -185,18 +178,16 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
                 bucket = gens.setdefault(var, [])
                 offset = body_col
                 for piece in body.split(","):
-                    pad = len(piece) - len(piece.lstrip())
                     if not piece.strip():
-                        raise ParseError("empty generator", lineno, offset + pad)
-                    bucket.append(_reparse(parser, piece.strip(), lineno, offset + pad))
+                        raise ParseError("empty generator", lineno, offset + len(piece))
+                    bucket.append(parser.parse(piece.rstrip(), lineno, offset))
                     offset += len(piece) + 1
             else:
                 if var in updates:
                     raise ParseError(f"duplicate update for {var!r}", lineno, word_col)
-                pad = len(body) - len(body.lstrip())
                 if not body.strip():
                     raise ParseError("empty update", lineno, body_col)
-                updates[var] = _reparse(parser, body.strip(), lineno, body_col + pad)
+                updates[var] = parser.parse(body, lineno, body_col)
         elif word == "option":
             if not rest:
                 raise ParseError("option needs a key", lineno, rest_col)

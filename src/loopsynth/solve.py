@@ -336,7 +336,11 @@ def solve(request: SolveRequest, command: Sequence[str] | None = None) -> SolveO
         if status != "sat":
             return SolveOutcome(status, diagnostics=transcript)
         assignment = _model_assignment(parse_sexprs("\n".join(rest_lines)), names)
-        if not verify_assignment(request, assignment):
+        try:
+            verified = verify_assignment(request, assignment)
+        except BudgetExceeded:  # a value too large to raise to the system's powers
+            verified = False
+        if not verified:
             raise SolverOutputError(
                 f"solver model failed exact re-verification: {assignment}")
         return SolveOutcome("sat", assignment=assignment, diagnostics=transcript)

@@ -4,15 +4,19 @@ replaced, an integer literal is at most MAX_DIGITS ASCII digits wherever
 it is read, and a problem file is read by pipeline.read_problem for
 every verb, so bad input is exit 1 or an invalid row, never exit 3."""
 
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loopsynth
 from loopsynth import ParseError, SolverOutputError, parse_problem, parse_sexprs, run_benchmarks
 from loopsynth.cli import main
+from loopsynth.pipeline import read_problem
 from loopsynth.polyring import MAX_DIGITS, MAX_WORK, VarContext, _tokenize, parse_polynomial
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -222,7 +226,38 @@ def not_utf8(tmp_path):
 def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, not_utf8, verb):
     assert main([verb, not_utf8]) == 1
     err = capsys.readouterr().err
-    assert f"{not_utf8}: " in err and "utf-8" in err
+    assert f"{not_utf8}:3:15: " in err and "utf-8" in err
+
+
+@pytest.mark.parametrize("data, line, col", [
+    (b"vars x\ninit 0\ninvariant x - \xff\nupdate x: x\n", 3, 15),
+    # columns count characters, and lines end as str.splitlines ends them
+    (b"vars x\r\ninit 0\rinvariant \xc3\xa9 + \xe2\x82\r\n", 3, 15),
+    (b"vars x\ninit 0\n\n\xc3", 4, 1),
+    (b"\x80", 1, 1)])
+def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line_and_col(tmp_path, data,
+                                                                       line, col):
+    path = tmp_path / "bad.loop"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="utf-8") as err:
+        read_problem(str(path))
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("body", ["invariant x - 1\nupdate x: x + 1\n",
+                                  "invariant x - 1\nupdate x: x +\n"])
+def test_a_crlf_file_reads_as_its_lf_text(tmp_path, body):
+    text = "vars x\n# comment\n\ninit 1\n" + body
+    path = tmp_path / "crlf.loop"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    try:
+        expected = parse_problem(text, name="crlf")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_problem(str(path))
+        assert str(err.value) == str(exc)
+    else:
+        assert read_problem(str(path)) == expected
 
 
 def test_bench_reports_a_file_that_is_not_utf8_as_an_invalid_row(capsys, not_utf8):
@@ -254,6 +289,22 @@ def test_a_missing_file_is_a_usage_error_and_an_invalid_row(tmp_path, capsys):
 
 
 HEAVY = "(1+x1)^999"  # 1,000 terms in one or two variables: it spends MAX_WORK
+
+
+def test_a_huge_power_at_check_time_is_a_time_limit(tmp_path):
+    # the parser admits x^999999999 (one term); evaluating it at 3 would
+    # run far past the timeout, which ends the child if evaluate has no bound
+    path = tmp_path / "huge.loop"
+    path.write_text("vars x\ninit 3\ninvariant x^999999999 - 1\nupdate x: x + 1\n")
+    src = str(pathlib.Path(loopsynth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "loopsynth.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 2
+    assert "status: TL" in proc.stdout
 
 
 def test_a_line_of_many_large_powers_is_refused_at_once(tmp_path, capsys):

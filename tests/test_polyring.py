@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import (ContextMismatchError, ParseError, Polynomial,
+from loopsynth import (BudgetExceeded, ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial, parse_problem,
                        DEGREVLEX, LEX)
-from loopsynth.polyring import (MAX_BITS, MAX_NESTING, MAX_TERMS, as_rational,
-                                format_polynomial, fresh_name)
+from loopsynth.polyring import (MAX_BITS, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
+                                as_rational, format_polynomial, fresh_name)
 
 CTX = VarContext(("x", "y", "z"))
 
@@ -180,6 +180,22 @@ class TestEvaluateSubstituteCompose:
         p = P("x^2*y - z/2")
         v = p.evaluate({"x": Fraction(1, 2), "y": 4, "z": 1})
         assert v == Fraction(1, 2)
+
+    def test_evaluate_refuses_a_power_past_its_bit_bound(self):
+        # a power whose parts have at most MAX_POWER_BITS bits is computed;
+        # one that could pass it raises before the exponentiation
+        e = MAX_POWER_BITS // 2  # 2^e has e + 1 bits, so 2 counts as 2 bits
+        assert P(f"x^{e}").evaluate({"x": 2, "y": 0, "z": 0}) == 2 ** e
+        assert P(f"x^{e}").evaluate({"x": Fraction(-1, 3), "y": 0, "z": 0}) == \
+            Fraction(-1, 3) ** e
+        # 3^MAX_POWER_BITS has 1.58 * MAX_POWER_BITS bits
+        for x, k in ((2, e + 1), (3, MAX_POWER_BITS), (Fraction(1, 2), e + 1),
+                     (Fraction(-5, 3), MAX_POWER_BITS)):
+            with pytest.raises(BudgetExceeded, match=f"{MAX_POWER_BITS}-bit"):
+                P(f"y + x^{k}").evaluate({"x": x, "y": 1, "z": 0})
+        huge = P("x^999999999*y - z")
+        for x in (0, 1, -1):
+            assert huge.evaluate({"x": x, "y": 1, "z": 1}) == x - 1
 
     def test_compose_known(self):
         ctx = VarContext(("x1", "x2"))

@@ -3,9 +3,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopsynth import ParseError, parse_polynomial, parse_problem
-from loopsynth.polyring import MAX_NESTING
+from loopsynth import ParseError, VarContext, parse_polynomial, parse_problem
+from loopsynth.polyring import MAX_NESTING, _Parser
 
 SYNTH = """\
 # two-variable template
@@ -171,5 +172,77 @@ def test_mutated_problem_files_raise_only_parse_errors():
             mutant = text[:i] + new + text[i + (kind != 1):]
             try:
                 parse_problem(mutant)
-            except ParseError:
-                pass
+            except ParseError as exc:  # it points inside the mutant
+                lines = mutant.splitlines()
+                assert 1 <= exc.line <= len(lines), (mutant, exc)
+                assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, (mutant, exc)
+
+
+# -- polynomial positions against the rule that shifted them -----------------
+
+
+# atoms, some of them wrong, each followed by an operator or not
+_PIECE = st.lists(st.tuples(
+    st.sampled_from(["x", "-y", "2", "10", "(x", "y)", "x^2", "z", "@", "²", ":"]),
+    st.sampled_from(["+", "-", "*", "/", "^", " ", ""])), max_size=3).map(
+        lambda pairs: "".join(a + op for a, op in pairs))
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\u00a0 "])
+# the lines after the drawn one, which make the file whole if it parses
+_REST = {"guard": "invariant x\nupdate x: x\nupdate y: y\n",
+         "invariant": "update x: x\nupdate y: y\n",
+         "update": "invariant x\nupdate y: y\n",
+         "gen": "invariant x\ngen y: y\n"}
+
+
+@st.composite
+def _polynomial_lines(draw):
+    def padded():
+        return draw(_SPACES) + draw(_PIECE) + draw(_SPACES)
+    kind = draw(st.sampled_from(sorted(_REST)))
+    if kind == "gen":
+        return kind, "gen x:" + ",".join(padded() for _ in range(draw(st.integers(1, 3))))
+    return kind, (f"{kind} x:" if kind == "update" else f"{kind} ") + padded()
+
+
+def _shifted_error(parser, text, col):
+    # the old rule: parse the stripped text from 1:1, then move the error's
+    # column by where that text starts on its line
+    pad = len(text) - len(text.lstrip())
+    try:
+        parser.parse(text.strip())
+    except ParseError as exc:
+        return exc.message, 3, col + pad + exc.col - 1
+    return None
+
+
+def _reference_error(kind, line):
+    parser = _Parser(VarContext(("x", "y")))
+    line = line.rstrip()
+    if kind in ("guard", "invariant"):
+        return _shifted_error(parser, line[len(kind):], len(kind) + 1)
+    col = line.index(":") + 2
+    body = line[col - 1:]
+    if kind == "update":
+        return ("empty update", 3, col) if not body.strip() else \
+            _shifted_error(parser, body, col)
+    for piece in body.split(","):
+        if not piece.strip():
+            return "empty generator", 3, col + len(piece)
+        if error := _shifted_error(parser, piece, col):
+            return error
+        col += len(piece) + 1
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_polynomial_lines())
+def test_polynomial_errors_point_where_the_shifting_rule_did(kind_line):
+    kind, line = kind_line
+    text = f"vars x y\ninit 0 0\n{line}\n{_REST[kind]}"
+    expected = _reference_error(kind, line)
+    if expected is None:
+        parse_problem(text)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.message, err.value.line, err.value.col) == expected

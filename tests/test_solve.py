@@ -150,6 +150,16 @@ echo '((define-fun y1 () Int 0) (define-fun y2 () Int 0))'
         with pytest.raises(SolverOutputError):
             solve(self.req, [cmd, "{file}"])
 
+    def test_model_past_the_power_bound_rejected(self, tmp_path):
+        # (3, 0) is a root, but re-verifying it takes 3^2000000
+        req = SolveRequest(mksys(("y1", "y2"), "y2*y1^2000000"))
+        cmd = stub(tmp_path, "huge", """
+echo sat
+echo '((define-fun y1 () Int 3) (define-fun y2 () Int 0))'
+""")
+        with pytest.raises(SolverOutputError, match="re-verification"):
+            solve(req, [cmd, "{file}"])
+
     def test_model_value_spellings(self, tmp_path):
         req = SolveRequest(mksys(("y1", "y2", "y3"),
                                  "2*y1 - 1", "y2 + 3", "4*y3 - 1"),
