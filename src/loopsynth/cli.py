@@ -15,11 +15,10 @@ import json
 import sys
 from typing import Sequence
 
-from .polyring import ParseError
+from .polyring import ParseError, _quote
 from .pipeline import (SIMULATION_STEPS, RunReport, read_problem, render_csv,
                        render_table, run_benchmarks, run_check, run_pipeline)
 from .problemfile import _OPTIONS, Settings, _integer, _resolve, _seconds
-from .solve import discover_solver
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     if type(n := _integer(text)) is not int or n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {_quote(text)}")
     return n
 
 
@@ -85,15 +84,12 @@ def build_parser() -> _Parser:
 
 def _overrides(args) -> dict:
     """The Settings fields set by this verb's flags, read as option lines
-    are and checked by Settings as far as they do not depend on the problem.
-    bench checks its solver command or LOOPSYNTH_SOLVER too, before any
-    file is read; synth checks them once the file's options are known."""
+    are and checked by Settings as far as they do not depend on the problem;
+    _resolve checks the rest, the solver command included, with the file."""
     kept = {f: read(text) for f, read, _, _ in _OPTIONS.values()
             if (text := getattr(args, f, None)) is not None}
     try:
-        settings = Settings(**kept)
-        if args.command == "bench":
-            discover_solver(settings.solver)
+        Settings(**kept)
     except ValueError as exc:
         raise UsageError(str(exc))
     return kept
@@ -107,7 +103,7 @@ def _load(path: str, overrides: dict):
         raise UsageError(str(exc))
     except ParseError as exc:
         raise UsageError(f"{path}:{exc}")
-    except ValueError as exc:  # a nonzero flag that the template lacks
+    except ValueError as exc:  # a nonzero policy or solver command _resolve refuses
         raise UsageError(f"{path}: {exc}")
 
 
@@ -153,9 +149,9 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
         piece = piece.strip()
         cell = tuple(_integer(t.strip()) for t in piece.split(":"))
         if len(cell) != 2 or not all(type(t) is int for t in cell):
-            raise UsageError(f"bad grid cell {piece!r}; expected D:L")
+            raise UsageError(f"bad grid cell {_quote(piece)}; expected D:L")
         if min(cell) < 1:
-            raise UsageError(f"bad grid cell {piece!r}; D and L must be >= 1")
+            raise UsageError(f"bad grid cell {_quote(piece)}; D and L must be >= 1")
         cells.append(cell)
     return cells
 
@@ -178,14 +174,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
                                  f"lines, this file has {lines[fits]} lines (use {fits})")
             if args.command == "synth":
-                # run_pipeline repeats this check for its library callers,
-                # but its ValueError could also come from synthesis, which
-                # is no usage error; an option solver line replaces
-                # LOOPSYNTH_SOLVER, so the check waits for the file
-                try:
-                    discover_solver(doc.settings.solver)
-                except ValueError as exc:
-                    raise UsageError(str(exc))
                 try:
                     report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth
                 except OSError as exc:
@@ -200,7 +188,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 show(report)
             return _exit_code(report)
         grid = _parse_grid(args.grid) if args.grid else None
-        reports = run_benchmarks(args.paths, grid=grid, **overrides)
+        try:
+            reports = run_benchmarks(args.paths, grid=grid, **overrides)
+        except ValueError as exc:  # a bad LOOPSYNTH_SOLVER, before any file
+            raise UsageError(str(exc))
         text = render_table(reports)
         print(text, end="")
         if args.csv:

@@ -70,8 +70,9 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
                  **overrides) -> RunReport:
     """Synthesis pipeline for one problem; check-form docs are delegated to
     run_check.  The other keywords are Settings fields overriding the
-    file's options; a bad value, a bad LOOPSYNTH_SOLVER, or emit_smt on a
-    check-form doc raises ValueError before any work starts."""
+    file's options, which _resolve checks with the solver command; a bad
+    value, a bad LOOPSYNTH_SOLVER, or emit_smt on a check-form doc raises
+    ValueError before any work starts."""
     doc = _resolve(doc, **overrides)
     if doc.is_concrete:
         if emit_smt is not None:

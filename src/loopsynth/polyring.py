@@ -58,6 +58,18 @@ class ParseError(ValueError):
         self.col = col
 
 
+QUOTE_WIDTH = 60  # characters of a quoted outside value that a message keeps
+
+
+def _quote(value) -> str:
+    # repr(value) for a message; a longer repr keeps its two ends around
+    # '...', so that a message stays short whatever outside text it quotes
+    text = repr(value)
+    if len(text) <= QUOTE_WIDTH + 3:
+        return text
+    return f"{text[:QUOTE_WIDTH // 2]}...{text[-(QUOTE_WIDTH // 2):]}"
+
+
 def as_rational(value) -> Coeff:
     """Coerce int, Fraction, or a string like '-3/4' to the one rational
     form: int when integral, Fraction otherwise.
@@ -76,7 +88,7 @@ def as_rational(value) -> Coeff:
                 return as_rational(Fraction(value.strip()))
             except (ValueError, ZeroDivisionError):
                 pass
-        raise ValueError(f"not a rational literal: {value!r}")
+        raise ValueError(f"not a rational literal: {_quote(value)}")
     raise TypeError(f"not a rational: {value!r} (floats are rejected; use Fraction)")
 
 
@@ -144,7 +156,7 @@ class VarContext:
             names += (self.t_name,)
         for n in names:
             if not isinstance(n, str) or not _IDENT_OK(n):
-                raise ValueError(f"bad variable name: {n!r}")
+                raise ValueError(f"bad variable name: {_quote(n)}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         object.__setattr__(self, "names", names)
@@ -452,7 +464,8 @@ class Polynomial:
 
     def _compose(self, tgt: VarContext, images: list[dict]) -> "Polynomial":
         # The composition kernel: images[i], a terms dict over tgt, replaces
-        # variable i.  Powers of each image are cached as terms dicts.
+        # variable i.  Powers of each image are cached as terms dicts, and
+        # the cache grows to a power only if _admit_power admits it.
         zero = (0,) * tgt.arity
         powers = [[{zero: 1}, im] for im in images]
         acc: dict = {}
@@ -460,6 +473,8 @@ class Polynomial:
             prod = {zero: c}
             for cache, im, e in zip(powers, images, expo):
                 if e:
+                    if len(cache) <= e:
+                        _admit_power(im, e, tgt.arity)
                     while len(cache) <= e:
                         cache.append(_mul_terms(cache[-1], im))
                     prod = _mul_terms(prod, cache[e])
@@ -547,12 +562,31 @@ MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
 MAX_WORK = MAX_TERMS ** 2  # term products one parser's texts may spend on expansions
 MAX_DIGITS = 4300  # digits of an INT, Python's default int() string limit
 MAX_POWER_BITS = 1_000_000  # bits of a power past the 64th that evaluate computes
+MAX_POWER_WORK = 100_000  # term products compose may spend on one image's powers
 
 
 def _log2(c: Coeff) -> int:
     # floor(log2) of c's numerator or denominator, whichever is larger
     # (0 for 0, 1 and -1)
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+
+
+def _admit_power(im: dict, e: int, n: int) -> None:
+    # called before compose builds, and keeps, the powers of the image im (a
+    # terms dict in n variables) up to e, one product at a time.  As the
+    # parser's admit estimates, im^k has at most T terms, the fewer of the
+    # ways to choose k of im's t terms with repetition and the monomials of
+    # degree k*deg(im) or less, so the e products cost at most e*(t*T + 1)
+    # term products and calls; past MAX_POWER_WORK, e alone passes the bound,
+    # so j decides as e would, without a huge binomial.  As in admit, a
+    # coefficient that could pass MAX_BITS bits is refused unless im has one
+    # as large.
+    t, j = len(im), min(e, MAX_POWER_WORK + 1)
+    terms = min(comb(t + j - 1, j), comb(n + j * max(map(sum, im), default=0), n))
+    bits = max(map(_log2, im.values()), default=0)
+    if j * (t * terms + 1) > MAX_POWER_WORK or j * bits > max(MAX_BITS, bits):
+        raise BudgetExceeded(f"compose: a power could pass {MAX_POWER_WORK} term "
+                             f"products or {MAX_BITS}-bit coefficients")
 
 
 def _bits(p: Polynomial) -> int:
@@ -638,7 +672,7 @@ class _Parser:
         p = self.expr()
         kind, val, line, col = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected {val!r}", line, col)
+            raise ParseError(f"unexpected {_quote(val)}", line, col)
         return p
 
     def expr(self) -> Polynomial:
@@ -693,7 +727,7 @@ class _Parser:
             return Polynomial.constant(self.context, int(val))
         if kind == "name":
             if val not in self.context:
-                raise ParseError(f"unknown variable {val!r}", line, col)
+                raise ParseError(f"unknown variable {_quote(val)}", line, col)
             return Polynomial.variable(self.context, val)
         if kind == "op" and val == "(":
             self.depth += 1
@@ -703,7 +737,7 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return p
-        raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input",
+        raise ParseError(f"unexpected {_quote(val)}" if val else "unexpected end of input",
                          line, col)
 
 

@@ -29,9 +29,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from .polyring import MAX_DIGITS, ParseError, Polynomial, VarContext, _Parser, as_rational
-from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR,
-                    check_domain, check_nonzero, check_seconds, solver_argv)
+from .polyring import (MAX_DIGITS, ParseError, Polynomial, VarContext, _Parser, _quote,
+                       as_rational)
+from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR, check_domain,
+                    check_nonzero, check_seconds, discover_solver, solver_argv)
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SYNTH_BUDGET = 300.0
@@ -54,13 +55,13 @@ class Settings:
         check_domain(self.domain)
         if not (isinstance(self.nonzero, str) and self.nonzero.isidentifier()):
             raise ValueError("nonzero must be vector, none or a coefficient name, "
-                             f"not {self.nonzero!r}")
+                             f"not {_quote(self.nonzero)}")
         if self.solver is not None:
             solver_argv("solver", self.solver)
         check_seconds("solve_budget", self.solve_budget)
         check_seconds("synth_budget", self.synth_budget)
         if type(self.max_rounds) is not int or self.max_rounds < 1:
-            raise ValueError(f"rounds must be an integer >= 1, not {self.max_rounds!r}")
+            raise ValueError(f"rounds must be an integer >= 1, not {_quote(self.max_rounds)}")
 
 
 def _integer(text: str):
@@ -109,12 +110,15 @@ class ProblemDoc:
 
 def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
     """doc with the overrides that are not None applied to its settings.
-    Settings checks every value and a template the nonzero policy, so a
-    bad override raises ValueError before any work starts."""
+    Settings checks every value, and a synthesis problem's template its
+    nonzero policy and discover_solver its solver command (the override,
+    else the option solver line, else LOOPSYNTH_SOLVER), so a bad value
+    raises ValueError before any work starts."""
     kept = {k: v for k, v in overrides.items() if v is not None}
     settings = replace(doc.settings, **kept) if kept else doc.settings
     if not doc.is_concrete:
         check_nonzero(settings.nonzero, doc.template.coefficient_names)
+        discover_solver(settings.solver)
     return replace(doc, settings=settings)
 
 
@@ -172,7 +176,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             head, _, body = rest.partition(":")
             var = head.strip()
             if var not in ctx:
-                raise ParseError(f"unknown variable {var!r}", lineno, rest_col)
+                raise ParseError(f"unknown variable {_quote(var)}", lineno, rest_col)
             body_col = rest_col + rest.index(":") + 1
             if word == "gen":
                 bucket = gens.setdefault(var, [])
@@ -195,7 +199,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             if not val:
                 raise ParseError(f"option {key} needs a value", lineno, rest_col)
             if key not in _OPTIONS:
-                raise ParseError(f"unknown option {key!r}", lineno, rest_col)
+                raise ParseError(f"unknown option {_quote(key)}", lineno, rest_col)
             attr, read, _, _ = _OPTIONS[key]
             try:
                 settings = replace(settings, **{attr: read(val[0])})
@@ -204,7 +208,7 @@ def parse_problem(text: str, name: str = "<string>") -> ProblemDoc:
             if key == "nonzero":
                 nonzero_pos = (lineno, rest_col)
         else:
-            raise ParseError(f"unknown directive {word!r}", lineno, word_col)
+            raise ParseError(f"unknown directive {_quote(word)}", lineno, word_col)
 
     if ctx is None:
         raise ParseError("missing vars line", 1)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget, BudgetExceeded
 from .groebner import buchberger, is_zero_dimensional
-from .polyring import Coeff, Polynomial, as_rational
+from .polyring import Coeff, Polynomial, _quote, as_rational
 from .synthesis import SynthesisSystem, _coefficient_values
 
 DOMAINS = ("integers", "rationals")
@@ -53,20 +53,21 @@ class SolverOutputError(RuntimeError):
 def check_domain(domain) -> None:
     """The coefficient domain is integers or rationals."""
     if domain not in DOMAINS:
-        raise ValueError(f"domain must be integers or rationals, not {domain!r}")
+        raise ValueError(f"domain must be integers or rationals, not {_quote(domain)}")
 
 
 def check_seconds(key: str, value) -> None:
     """A budget is finite int or float seconds > 0 (a bool is not)."""
     if type(value) not in (int, float) or not 0 < value < float("inf"):
-        raise ValueError(f"{key} must be finite seconds > 0, not {value!r}")
+        raise ValueError(f"{key} must be finite seconds > 0, not {_quote(value)}")
 
 
 def check_nonzero(policy, names: Sequence[str]) -> None:
     """The nonzero policy is vector, none or one of the problem's names."""
     if policy not in (NONZERO_VECTOR, NONZERO_NONE, *names):
         have = f"have {', '.join(names)}" if names else "the problem has none"
-        raise ValueError(f"nonzero option {policy!r} is not a template coefficient ({have})")
+        raise ValueError(f"nonzero option {_quote(policy)} is not a template coefficient "
+                         f"({have})")
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def _sexpr_value(sx) -> Coeff:
         try:
             return as_rational(sx)
         except ValueError:
-            raise SolverOutputError(f"unreadable numeral {sx!r}") from None
+            raise SolverOutputError(f"unreadable numeral {_quote(sx)}") from None
     if isinstance(sx, list) and sx:
         if sx[0] == "-" and len(sx) == 2:
             return -_sexpr_value(sx[1])
@@ -205,7 +206,7 @@ def _sexpr_value(sx) -> Coeff:
             if den == 0:
                 raise SolverOutputError("zero denominator in model value")
             return as_rational(Fraction(_sexpr_value(sx[1]), den))
-    raise SolverOutputError(f"unreadable model value {sx!r}")
+    raise SolverOutputError(f"unreadable model value {_quote(sx)}")
 
 
 def _model_assignment(sexprs: list, names: Sequence[str]) -> dict[str, Coeff]:
@@ -269,7 +270,8 @@ def solver_argv(key: str, command: str) -> list[str]:
         if not argv:
             raise ValueError("blank command")
     except ValueError as exc:
-        raise ValueError(f"{key} must be a command line, not {command!r}: {exc}") from None
+        raise ValueError(f"{key} must be a command line, not {_quote(command)}: "
+                         f"{exc}") from None
     return argv if any("{file}" in a for a in argv) else argv + ["{file}"]
 
 

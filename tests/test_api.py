@@ -58,6 +58,18 @@ def test_solve_option_words_live_in_solve():
     assert found == []
 
 
+def test_cli_leaves_the_solver_command_to_resolve():
+    # _resolve checks the solver command with the other run options, so cli
+    # imports nothing from solve and never calls discover_solver
+    tree = ast.parse((ROOT / "src" / "loopsynth" / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and ((node.module or "").endswith("solve")
+                                                      or "solve" in [a.name for a in node.names])
+             or isinstance(node, ast.Import) and any(a.name.endswith("solve") for a in node.names)
+             or isinstance(node, ast.Name) and node.id == "discover_solver"]
+    assert found == []
+
+
 def test_one_exception_per_kind_of_failure():
     # a new work limit raises BudgetExceeded rather than a class of its own
     classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]

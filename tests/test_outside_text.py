@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopsynth
-from loopsynth import ParseError, SolverOutputError, parse_problem, parse_sexprs, run_benchmarks
-from loopsynth.cli import main
+from loopsynth import (ParseError, Settings, SolverOutputError, parse_problem, parse_sexprs,
+                       run_benchmarks)
+from loopsynth.cli import _parse_grid, _positive_int, main
 from loopsynth.pipeline import read_problem
-from loopsynth.polyring import MAX_DIGITS, MAX_WORK, VarContext, _tokenize, parse_polynomial
+from loopsynth.polyring import (MAX_DIGITS, MAX_WORK, VarContext, _tokenize, as_rational,
+                                parse_polynomial)
+from loopsynth.solve import check_domain, check_nonzero, check_seconds, solver_argv
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 RUNNING_SUM = str(BENCHMARKS / "running_sum.loop")
@@ -193,23 +196,54 @@ def test_a_literal_of_max_digits_parses():
     assert parse_polynomial(f"{digits}*x/{digits}", ctx) == parse_polynomial("x", ctx)
 
 
+# a quoted LONG keeps 30 characters of each end of its repr
+CUT = f"'{'7' * 29}...{'7' * 29}'"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["check", RUNNING_SUM, "--rounds", LONG], f"rounds must be an integer >= 1, not '{LONG}'"),
+    (["check", RUNNING_SUM, "--rounds", LONG], f"rounds must be an integer >= 1, not {CUT}"),
     (["check", RUNNING_SUM, "--steps", LONG], "argument --steps: must be an integer >= 1"),
-    (["bench", RUNNING_SUM, "--grid", f"1:{LONG}"], f"bad grid cell '1:{LONG}'"),
-    (["bench", RUNNING_SUM, "--grid", f"{LONG}:3"], f"bad grid cell '{LONG}:3'")],
+    (["bench", RUNNING_SUM, "--grid", f"1:{LONG}"], f"bad grid cell '1:{CUT[3:]}"),
+    (["bench", RUNNING_SUM, "--grid", f"{LONG}:3"], f"bad grid cell {CUT[:-3]}:3'")],
     ids=["rounds", "steps", "grid-l", "grid-D"])
 def test_a_long_integer_flag_is_a_usage_error_naming_it(capsys, argv, message):
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.encode()) < 300
 
 
 def test_a_long_rounds_option_is_an_error_naming_it(tmp_path, capsys):
     path = tmp_path / "fast.loop"
     path.write_text(FAST_SYNTH + f"option rounds {LONG}\n")
     assert main(["synth", str(path)]) == 1
-    assert f"fast.loop:6:8: rounds must be an integer >= 1, not '{LONG}'" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"fast.loop:6:8: rounds must be an integer >= 1, not {CUT}" in err
+    assert len(err.encode()) < 300
+
+
+# each message that quotes outside text, as a call that refuses its text
+QUOTING = {"Settings-nonzero": lambda v: Settings(nonzero=v),
+           "Settings-rounds": lambda v: Settings(max_rounds=v),
+           "check_domain": check_domain,
+           "check_seconds": lambda v: check_seconds("solve_budget", v),
+           "check_nonzero": lambda v: check_nonzero(v, ("a1",)),
+           "solver_argv": lambda v: solver_argv("solver", v),
+           "as_rational": as_rational,
+           "_positive_int": _positive_int,
+           "_parse_grid": _parse_grid}
+
+
+@pytest.mark.parametrize("site", QUOTING)
+def test_a_refused_value_is_quoted_whole_when_short_and_cut_when_long(site):
+    # '"b@d' is no identifier, number, command line (no closing quote) or grid cell
+    with pytest.raises(Exception) as short:
+        QUOTING[site]('"b@d')
+    assert repr('"b@d') in str(short.value)
+    with pytest.raises(Exception) as long:
+        QUOTING[site]('"b@d' + LONG)
+    assert f"""'"b@d{'7' * 25}...{'7' * 29}'""" in str(long.value)
+    assert len(str(long.value)) < 200
 
 
 # -- one problem-file reader ---------------------------------------------
@@ -305,6 +339,30 @@ def test_a_huge_power_at_check_time_is_a_time_limit(tmp_path):
     assert time.perf_counter() - t0 < 10
     assert proc.returncode == 2
     assert "status: TL" in proc.stdout
+
+
+# each composes an invariant with a power of an update past the bound
+HUGE_COMPOSE = {"two-terms": "vars x\ninit 0\ninvariant x^999999999*(x - 1)\nupdate x: 1 - x\n",
+                "one-term": "vars x\ninit 1\ninvariant x^999999999 - x^999999997\n"
+                            "update x: -x\n",
+                "three-terms": "vars x y\ninit 0 0\ninvariant x^1000*(x - 1)\n"
+                               "update x: 1 - x + y\nupdate y: y\n"}
+
+
+@pytest.mark.parametrize("name", HUGE_COMPOSE)
+def test_a_huge_power_of_an_update_is_a_time_limit(tmp_path, name):
+    # simulation passes (each orbit revisits at state 2), and then composing
+    # the invariant with the update would run far past the timeout
+    path = tmp_path / f"{name}.loop"
+    path.write_text(HUGE_COMPOSE[name])
+    src = str(pathlib.Path(loopsynth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "loopsynth.cli", "check", str(path),
+                           "--synth-budget", "5"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert "status: TL (compose: a power could pass" in proc.stdout
 
 
 def test_a_line_of_many_large_powers_is_refused_at_once(tmp_path, capsys):

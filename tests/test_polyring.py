@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from loopsynth import (BudgetExceeded, ContextMismatchError, ParseError, Polynomial,
                        VarContext, parse_polynomial, parse_problem,
                        DEGREVLEX, LEX)
-from loopsynth.polyring import (MAX_BITS, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
-                                as_rational, format_polynomial, fresh_name)
+from loopsynth.polyring import (MAX_BITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_WORK,
+                                MAX_TERMS, as_rational, format_polynomial, fresh_name)
 
 CTX = VarContext(("x", "y", "z"))
 
@@ -196,6 +197,41 @@ class TestEvaluateSubstituteCompose:
         huge = P("x^999999999*y - z")
         for x in (0, 1, -1):
             assert huge.evaluate({"x": x, "y": 1, "z": 1}) == x - 1
+
+    @pytest.mark.parametrize("text, images", [
+        ("x^999999999*(x - 1)", ["1 - x"]),
+        ("x^999999999 - x^999999997", ["-x"]),
+        ("x^1000*(x - 1)", ["1 - x + y", "y"]),
+        # x^10001 under 3*x: 3^10001 passes MAX_BITS bits
+        ("x^10001", ["3*x"]),
+        # the powers of a zero image cost a call each
+        (f"x^{MAX_POWER_WORK + 1}", ["0"])])
+    def test_compose_refuses_a_power_past_its_bound_at_once(self, text, images):
+        ctx = VarContext(("x", "y")[:len(images)])
+        p = parse_polynomial(text, ctx)
+        images = [parse_polynomial(im, ctx) for im in images]
+
+        def expire(signum, frame):  # an unbounded compose runs for hours
+            raise TimeoutError("compose ran for 1 s")
+
+        handler = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(1)
+        try:
+            with pytest.raises(BudgetExceeded, match="compose: a power could pass"):
+                p.compose(images)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+
+    def test_compose_builds_a_power_within_its_bound(self):
+        ctx = VarContext(("x",))
+        x = Polynomial.variable(ctx, "x")
+        # one term: a call and a term product per power
+        assert P("x^49999", ctx).compose([-x]) == -P("x^49999", ctx)
+        # 3^9999 has fewer than MAX_BITS = 10,000 bits
+        assert P("x^9999", ctx).compose([3 * x]) == 3 ** 9999 * P("x^9999", ctx)
+        # (1 - x)^200 has 201 terms: 200 powers cost about 80,000 term products
+        assert P("x^200", ctx).compose([1 - x]) == (1 - x) ** 200
 
     def test_compose_known(self):
         ctx = VarContext(("x1", "x2"))

@@ -11,6 +11,7 @@ from loopsynth import (ParseError, Settings, SolveRequest, SynthesisSystem,
                        VarContext, parse_polynomial, parse_problem, run_benchmarks,
                        run_pipeline)
 from loopsynth.cli import build_parser, main
+from loopsynth.problemfile import _resolve
 from loopsynth.solve import discover_solver
 
 FAST_SYNTH = """\
@@ -271,6 +272,32 @@ class TestSolverDiscovery:
         path = write(tmp_path, "fast.loop", FAST_SYNTH + "option solver /nonexistent/solver\n")
         assert main(["synth", path]) == 0
         assert "solver-unavailable" in capsys.readouterr().out
+
+    def test_resolve_checks_a_synthesis_problems_solver_command(self, monkeypatch):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        doc = parse_problem(FAST_SYNTH, name="fast")
+        with pytest.raises(ValueError, match="LOOPSYNTH_SOLVER"):
+            _resolve(doc)
+        # a solver override or an option solver line replaces the environment
+        assert _resolve(doc, solver="/nonexistent/solver").settings.solver == \
+            "/nonexistent/solver"
+        lined = parse_problem(FAST_SYNTH + "option solver /nonexistent/solver\n")
+        assert _resolve(lined).settings.solver == "/nonexistent/solver"
+        # a check-form problem runs no solver
+        assert _resolve(parse_problem(CHECK)).is_concrete
+
+    def test_check_ignores_a_bad_environment_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        assert main(["check", write(tmp_path, "loop.loop", CHECK)]) == 0
+        assert "invariants: holds" in capsys.readouterr().out
+
+    def test_synth_names_the_file_with_a_bad_environment_command(
+            self, tmp_path, capsys, monkeypatch, no_synthesis):
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        path = write(tmp_path, "fast.loop", FAST_SYNTH)
+        assert main(["synth", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"loopsynth: error: {path}: LOOPSYNTH_SOLVER must be a command line")
 
     def test_pipeline_checks_the_environment_command_first(self, monkeypatch,
                                                             no_synthesis):
