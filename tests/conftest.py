@@ -1,9 +1,38 @@
+import contextlib
+import signal
 import time
 
 import pytest
 
 from loopsynth import (ConcreteLoop, InvariantSpec, LoopTemplate, VarContext,
                        generate_loops, parse_polynomial)
+
+
+class Overrun(BaseException):
+    # a BaseException, so hypothesis neither counts it as a failing example
+    # nor shrinks the example that ran long: the test stops at once
+    pass
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise Overrun(f"the test ran for {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds), a context manager that raises Overrun in the
+    test (SIGALRM, so the main thread only) once its seconds have passed."""
+    return _time_limit
 
 
 @pytest.fixture(scope="session")

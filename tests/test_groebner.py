@@ -1,9 +1,7 @@
-import contextlib
 import heapq
 import math
 import pathlib
 import random
-import signal
 from fractions import Fraction
 from operator import le
 
@@ -300,26 +298,6 @@ _DIFFERENTIAL = settings(max_examples=25, deadline=None)
 _DIFFERENTIAL_SECONDS = 60  # each differential test takes about 1 s
 
 
-class _Overrun(BaseException):
-    # a BaseException, so hypothesis neither counts it as a failing example
-    # nor shrinks the example that ran long: the test stops at once
-    pass
-
-
-@contextlib.contextmanager
-def _time_limit(seconds):
-    def expire(signum, frame):
-        raise _Overrun(f"the differential test ran for {seconds} s")
-
-    handler = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
-
-
 def _to_sympy(sympy, p):
     return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
                                  for m, c in p.terms.items()},
@@ -331,7 +309,7 @@ def _monic_set(sympy, polys):
 
 
 @pytest.mark.parametrize("order, name", [(DEGREVLEX, "grevlex"), (LEX, "lex")])
-def test_reduced_basis_and_normal_form_match_sympy(order, name):
+def test_reduced_basis_and_normal_form_match_sympy(order, name, time_limit):
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x y z")
 
@@ -348,11 +326,11 @@ def test_reduced_basis_and_normal_form_match_sympy(order, name):
         assert _to_sympy(sympy, ours.normal_form(f)) == sympy.Poly(rem, *gens, domain="QQ")
         assert normal_form(f, list(ours), order) == ours.normal_form(f)
 
-    with _time_limit(_DIFFERENTIAL_SECONDS):
+    with time_limit(_DIFFERENTIAL_SECONDS):
         check()
 
 
-def test_radical_membership_matches_sympy_rabinowitsch():
+def test_radical_membership_matches_sympy_rabinowitsch(time_limit):
     # f is in the radical of <S> iff <S, 1 - t*f> is the unit ideal
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x y z t")
@@ -371,7 +349,7 @@ def test_radical_membership_matches_sympy_rabinowitsch():
                                 method="f5b")
         assert in_radical(f, ideal) == (list(theirs.exprs) == [1])
 
-    with _time_limit(_DIFFERENTIAL_SECONDS):
+    with time_limit(_DIFFERENTIAL_SECONDS):
         check()
 
 
