@@ -95,10 +95,17 @@ def _overrides(args) -> dict:
     return kept
 
 
-def _load(path: str, overrides: dict):
-    """The problem in path under the flag overrides, or a usage error."""
+def _load(path: str, command: str, overrides: dict):
+    """The problem in path for command under the flag overrides, or a usage
+    error; a file of the other form is refused before _resolve's checks."""
     try:
-        return _resolve(read_problem(path), **overrides)
+        doc = read_problem(path)
+        fits = "check" if doc.is_concrete else "synth"
+        if command != fits:
+            lines = {"synth": "gen", "check": "update"}
+            raise UsageError(f"{path}: {command} needs {lines[command]} lines, "
+                             f"this file has {lines[fits]} lines (use {fits})")
+        return _resolve(doc, **overrides)
     except OSError as exc:
         raise UsageError(str(exc))
     except ParseError as exc:
@@ -167,12 +174,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         overrides = _overrides(args)
         if args.command in ("synth", "check"):
-            doc = _load(args.file, overrides)
-            fits = "check" if doc.is_concrete else "synth"
-            if args.command != fits:
-                lines = {"synth": "gen", "check": "update"}
-                raise UsageError(f"{args.file}: {args.command} needs {lines[args.command]} "
-                                 f"lines, this file has {lines[fits]} lines (use {fits})")
+            doc = _load(args.file, args.command, overrides)
             if args.command == "synth":
                 try:
                     report, show = run_pipeline(doc, emit_smt=args.emit_smt), _print_synth

@@ -25,7 +25,7 @@ from typing import Sequence
 from .budget import Budget, BudgetExceeded
 from .polyring import ParseError, Polynomial
 from .problemfile import ProblemDoc, _resolve, parse_problem
-from .solve import (SolveRequest, discover_solver, emit_smtlib,
+from .solve import (SolveRequest, check_solver, discover_solver, emit_smtlib,
                     classify_finiteness, solve)
 from .synthesis import (SIMULATION_STEPS, ConcreteLoop, InvariantSpec,
                         LoopTemplate, check_invariants, generate_loops,
@@ -70,9 +70,8 @@ def run_pipeline(doc: ProblemDoc, *, emit_smt: str | None = None,
                  **overrides) -> RunReport:
     """Synthesis pipeline for one problem; check-form docs are delegated to
     run_check.  The other keywords are Settings fields overriding the
-    file's options, which _resolve checks with the solver command; a bad
-    value, a bad LOOPSYNTH_SOLVER, or emit_smt on a check-form doc raises
-    ValueError before any work starts."""
+    file's options; _resolve refuses a bad value or LOOPSYNTH_SOLVER, and
+    emit_smt on a check-form doc raises ValueError, before any work starts."""
     doc = _resolve(doc, **overrides)
     if doc.is_concrete:
         if emit_smt is not None:
@@ -236,7 +235,7 @@ def run_benchmarks(targets: Sequence[str], *, grid: Sequence[tuple[int, int]] | 
     LOOPSYNTH_SOLVER, unless a solver override replaces it, raises
     ValueError before any file is read."""
     if overrides.get("solver") is None:
-        discover_solver()
+        check_solver()
     paths: list[str] = []
     for target in targets:
         paths.extend(collect_problem_files(target))

@@ -464,19 +464,31 @@ class Polynomial:
 
     def _compose(self, tgt: VarContext, images: list[dict]) -> "Polynomial":
         # The composition kernel: images[i], a terms dict over tgt, replaces
-        # variable i.  Powers of each image are cached as terms dicts, and
-        # the cache grows to a power only if _admit_power admits it.
+        # variable i.  Powers of each image are cached as terms dicts.  Each
+        # product that builds one counts its term products plus one for the
+        # call (a one-term image's powers cost calls, not term products);
+        # past MAX_POWER_WORK in all, or a MAX_BITS-bit coefficient, compose
+        # raises BudgetExceeded.
         zero = (0,) * tgt.arity
         powers = [[{zero: 1}, im] for im in images]
+        work = 0
         acc: dict = {}
         for expo, c in self.terms.items():
             prod = {zero: c}
             for cache, im, e in zip(powers, images, expo):
+                if e and not im:  # 0^e is 0 at once, whatever e
+                    prod = {}
+                    break
+                while len(cache) <= e:
+                    work += len(cache[-1]) * len(im) + 1
+                    if work > MAX_POWER_WORK:
+                        raise BudgetExceeded(f"compose: powers past {MAX_POWER_WORK} "
+                                             "term products")
+                    cache.append(_mul_terms(cache[-1], im))
+                    if max(map(_log2, cache[-1].values())) > MAX_BITS:
+                        raise BudgetExceeded(f"compose: a power past {MAX_BITS}-bit "
+                                             "coefficients")
                 if e:
-                    if len(cache) <= e:
-                        _admit_power(im, e, tgt.arity)
-                    while len(cache) <= e:
-                        cache.append(_mul_terms(cache[-1], im))
                     prod = _mul_terms(prod, cache[e])
             _add_into(acc, prod.items())
         return Polynomial._trusted(tgt, _int_when_integral(
@@ -562,31 +574,13 @@ MAX_BITS = 10_000  # log2 of a coefficient of an expanded product or power
 MAX_WORK = MAX_TERMS ** 2  # term products one parser's texts may spend on expansions
 MAX_DIGITS = 4300  # digits of an INT, Python's default int() string limit
 MAX_POWER_BITS = 1_000_000  # bits of a power past the 64th that evaluate computes
-MAX_POWER_WORK = 100_000  # term products compose may spend on one image's powers
+MAX_POWER_WORK = MAX_WORK // 4  # term products compose may spend on the images' powers
 
 
 def _log2(c: Coeff) -> int:
     # floor(log2) of c's numerator or denominator, whichever is larger
     # (0 for 0, 1 and -1)
     return max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-
-
-def _admit_power(im: dict, e: int, n: int) -> None:
-    # called before compose builds, and keeps, the powers of the image im (a
-    # terms dict in n variables) up to e, one product at a time.  As the
-    # parser's admit estimates, im^k has at most T terms, the fewer of the
-    # ways to choose k of im's t terms with repetition and the monomials of
-    # degree k*deg(im) or less, so the e products cost at most e*(t*T + 1)
-    # term products and calls; past MAX_POWER_WORK, e alone passes the bound,
-    # so j decides as e would, without a huge binomial.  As in admit, a
-    # coefficient that could pass MAX_BITS bits is refused unless im has one
-    # as large.
-    t, j = len(im), min(e, MAX_POWER_WORK + 1)
-    terms = min(comb(t + j - 1, j), comb(n + j * max(map(sum, im), default=0), n))
-    bits = max(map(_log2, im.values()), default=0)
-    if j * (t * terms + 1) > MAX_POWER_WORK or j * bits > max(MAX_BITS, bits):
-        raise BudgetExceeded(f"compose: a power could pass {MAX_POWER_WORK} term "
-                             f"products or {MAX_BITS}-bit coefficients")
 
 
 def _bits(p: Polynomial) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from .polyring import (MAX_DIGITS, ParseError, Polynomial, VarContext, _Parser, _quote,
                        as_rational)
 from .solve import (DEFAULT_DOMAIN, DEFAULT_SOLVE_SECONDS, NONZERO_VECTOR, check_domain,
-                    check_nonzero, check_seconds, discover_solver, solver_argv)
+                    check_nonzero, check_seconds, check_solver, solver_argv)
 from .synthesis import DEFAULT_MAX_ROUNDS, ConcreteLoop, InvariantSpec, LoopTemplate
 
 DEFAULT_SYNTH_BUDGET = 300.0
@@ -109,16 +109,13 @@ class ProblemDoc:
 
 
 def _resolve(doc: ProblemDoc, **overrides) -> ProblemDoc:
-    """doc with the overrides that are not None applied to its settings.
-    Settings checks every value, and a synthesis problem's template its
-    nonzero policy and discover_solver its solver command (the override,
-    else the option solver line, else LOOPSYNTH_SOLVER), so a bad value
-    raises ValueError before any work starts."""
+    """doc with the overrides that are not None applied to its settings; a bad
+    value, nonzero policy or solver command (check_solver) raises ValueError."""
     kept = {k: v for k, v in overrides.items() if v is not None}
     settings = replace(doc.settings, **kept) if kept else doc.settings
     if not doc.is_concrete:
         check_nonzero(settings.nonzero, doc.template.coefficient_names)
-        discover_solver(settings.solver)
+        check_solver(settings.solver)
     return replace(doc, settings=settings)
 
 

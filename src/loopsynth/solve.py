@@ -275,13 +275,18 @@ def solver_argv(key: str, command: str) -> list[str]:
     return argv if any("{file}" in a for a in argv) else argv + ["{file}"]
 
 
-def discover_solver(configured: str | None = None) -> list[str] | None:
-    """argv template for a usable solver, or None.  The configured command
-    (a --solver flag or an option solver line), else LOOPSYNTH_SOLVER, goes
-    through solver_argv; otherwise z3/cvc5 on PATH are tried."""
-    command = configured or os.environ.get(ENV_SOLVER, "")
-    if command.strip():
+def check_solver(configured: str | None = None) -> list[str] | None:
+    """argv template of the configured command (a --solver flag or an option
+    solver line), else of LOOPSYNTH_SOLVER; None when both are blank."""
+    if (command := configured or os.environ.get(ENV_SOLVER, "")).strip():
         return solver_argv("solver" if configured else ENV_SOLVER, command)
+    return None
+
+
+def discover_solver(configured: str | None = None) -> list[str] | None:
+    """check_solver's argv template, else one for z3 or cvc5 on PATH, or None."""
+    if argv := check_solver(configured):
+        return argv
     path = shutil.which("z3") or shutil.which("cvc5")
     return [path, "{file}"] if path else None
 

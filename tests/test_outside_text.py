@@ -362,7 +362,7 @@ def test_a_huge_power_of_an_update_is_a_time_limit(tmp_path, name):
                            "--synth-budget", "5"],
                           capture_output=True, text=True, env=env, timeout=20)
     assert proc.returncode == 2
-    assert "status: TL (compose: a power could pass" in proc.stdout
+    assert "status: TL (compose: powers past" in proc.stdout
 
 
 def test_a_line_of_many_large_powers_is_refused_at_once(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-import signal
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -202,36 +201,39 @@ class TestEvaluateSubstituteCompose:
         ("x^999999999*(x - 1)", ["1 - x"]),
         ("x^999999999 - x^999999997", ["-x"]),
         ("x^1000*(x - 1)", ["1 - x + y", "y"]),
-        # x^10001 under 3*x: 3^10001 passes MAX_BITS bits
-        ("x^10001", ["3*x"]),
-        # the powers of a zero image cost a call each
-        (f"x^{MAX_POWER_WORK + 1}", ["0"])])
-    def test_compose_refuses_a_power_past_its_bound_at_once(self, text, images):
+        # 3^6310 passes MAX_BITS bits
+        ("x^10001", ["3*x"])])
+    def test_compose_refuses_a_power_past_its_bound_at_once(self, text, images,
+                                                            time_limit):
         ctx = VarContext(("x", "y")[:len(images)])
         p = parse_polynomial(text, ctx)
         images = [parse_polynomial(im, ctx) for im in images]
-
-        def expire(signum, frame):  # an unbounded compose runs for hours
-            raise TimeoutError("compose ran for 1 s")
-
-        handler = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(1)
-        try:
-            with pytest.raises(BudgetExceeded, match="compose: a power could pass"):
-                p.compose(images)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, handler)
+        # an unbounded compose runs for hours
+        with time_limit(1), pytest.raises(BudgetExceeded, match="compose: .* past"):
+            p.compose(images)
 
     def test_compose_builds_a_power_within_its_bound(self):
         ctx = VarContext(("x",))
         x = Polynomial.variable(ctx, "x")
-        # one term: a call and a term product per power
+        # one term: a term product and a call per power
         assert P("x^49999", ctx).compose([-x]) == -P("x^49999", ctx)
-        # 3^9999 has fewer than MAX_BITS = 10,000 bits
-        assert P("x^9999", ctx).compose([3 * x]) == 3 ** 9999 * P("x^9999", ctx)
-        # (1 - x)^200 has 201 terms: 200 powers cost about 80,000 term products
+        # 3^6000 has fewer than MAX_BITS = 10,000 bits
+        assert P("x^6000", ctx).compose([3 * x]) == 3 ** 6000 * P("x^6000", ctx)
+        # (1 - x)^200 has 201 terms: its powers cost about 40,000 term products
         assert P("x^200", ctx).compose([1 - x]) == (1 - x) ** 200
+        # the powers of 0 cost nothing
+        assert P(f"x^{MAX_POWER_WORK + 1} + 1", ctx).compose([0 * x]) == 1
+
+    def test_compose_squares_an_image_of_fifty_terms(self):
+        # 50 cubic terms in 8 variables: their square costs 2,500 term
+        # products, though its binomial term bound is far larger
+        ctx = VarContext(tuple(f"x{i}" for i in range(8)))
+        xs = [Polynomial.variable(ctx, n) for n in ctx.names]
+        image = sum((xs[i] * xs[j] * xs[k] for i in range(8) for j in range(i, 8)
+                     for k in range(j, 8)), Polynomial.zero(ctx))
+        image = Polynomial(ctx, dict(list(image.terms.items())[:50]))
+        assert len(image) == 50
+        assert P("x0^2*x1", ctx).compose([image] * 8) == image ** 3
 
     def test_compose_known(self):
         ctx = VarContext(("x1", "x2"))

@@ -4,6 +4,7 @@ keyword overrides, and every verb's flags are Settings fields it reads."""
 import argparse
 import dataclasses
 import importlib
+import shutil
 
 import pytest
 
@@ -290,6 +291,28 @@ class TestSolverDiscovery:
         monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
         assert main(["check", write(tmp_path, "loop.loop", CHECK)]) == 0
         assert "invariants: holds" in capsys.readouterr().out
+
+    def test_check_names_the_form_before_the_environment_command(
+            self, tmp_path, capsys, monkeypatch):
+        # check refuses a synthesis-form file for its form, which it reads
+        # before _resolve checks the synthesis problem's solver command
+        monkeypatch.setenv("LOOPSYNTH_SOLVER", 'z3 "oops')
+        assert main(["check", write(tmp_path, "fast.loop", FAST_SYNTH)]) == 1
+        assert "check needs update lines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["synth", "bench"])
+    def test_a_run_searches_path_once(self, verb, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LOOPSYNTH_SOLVER", raising=False)
+        searched = []
+
+        def nothing_found(name, *args, **kwargs):
+            searched.append(name)
+            return None
+
+        monkeypatch.setattr(shutil, "which", nothing_found)
+        assert main([verb, write(tmp_path, "fast.loop", FAST_SYNTH)]) == 0
+        assert "solver-unavailable" in capsys.readouterr().out
+        assert searched == ["z3", "cvc5"]
 
     def test_synth_names_the_file_with_a_bad_environment_command(
             self, tmp_path, capsys, monkeypatch, no_synthesis):
